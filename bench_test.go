@@ -29,7 +29,7 @@ import (
 	"lci/internal/lcw"
 	"lci/internal/mpibase"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 	"lci/internal/rpc"
 	"lci/internal/topo"
 )
@@ -270,11 +270,7 @@ func BenchmarkFig7KmerCounting(b *testing.B) {
 		fab := fabric.New(fabric.Config{NumRanks: ranks})
 		trs := make([]*rpc.GASNetTransport, ranks)
 		for r := 0; r < ranks; r++ {
-			prov, err := raw.Open(plat.Provider, fab, r, plat.IBV, plat.OFI)
-			if err != nil {
-				b.Fatal(err)
-			}
-			trs[r] = rpc.NewGASNetTransport(prov, r, ranks)
+			trs[r] = rpc.NewGASNetTransport(nic.NewDomain(fab, r, plat.Provider))
 		}
 		var wg sync.WaitGroup
 		errs := make([]error, ranks)
@@ -342,17 +338,14 @@ func BenchmarkFig8OctoTiger(b *testing.B) {
 		fab := fabric.New(fabric.Config{NumRanks: ranks})
 		trs := make([]*rpc.MPITransport, ranks)
 		for r := 0; r < ranks; r++ {
-			prov, err := raw.Open(plat.Provider, fab, r, plat.IBV, plat.OFI)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := mpibase.New(prov, r, ranks, mpibase.Config{
+			m := mpibase.New(nic.NewDomain(fab, r, plat.Provider), mpibase.Config{
 				NumVCIs: vcis, AssertNoAnyTag: true, AssertAllowOvertaking: true,
 			})
-			trs[r], err = rpc.NewMPITransport(m, threads, 1<<16)
+			tr, err := rpc.NewMPITransport(m, threads, 1<<16)
 			if err != nil {
 				b.Fatal(err)
 			}
+			trs[r] = tr
 		}
 		var wg sync.WaitGroup
 		errs := make([]error, ranks)

@@ -284,7 +284,8 @@ func printTable1() {
 func printPlatforms() {
 	fmt.Println("== Table 2 (simulated): platform configuration ==")
 	for _, p := range lci.Platforms() {
-		fmt.Printf("%-12s NIC=%-18s Network=%-28s provider=%s\n", p.Name, p.NIC, p.Network, p.Provider)
+		fmt.Printf("%-12s NIC=%-18s Network=%-28s provider=%s layout=%s\n", p.Name, p.NIC, p.Network,
+			p.Provider.Layout.Provider(), p.Provider.Layout)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 	"lci/internal/core"
 	"lci/internal/kmer"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 	"lci/internal/rpc"
 )
 
@@ -73,11 +73,7 @@ func runGASNet(nodes, thr, ranksPerNode int) (time.Duration, error) {
 	fab := fabric.New(fabric.Config{NumRanks: ranks})
 	trs := make([]*rpc.GASNetTransport, ranks)
 	for r := 0; r < ranks; r++ {
-		prov, err := raw.Open(plat.Provider, fab, r, plat.IBV, plat.OFI)
-		if err != nil {
-			return 0, err
-		}
-		trs[r] = rpc.NewGASNetTransport(prov, r, ranks)
+		trs[r] = rpc.NewGASNetTransport(nic.NewDomain(fab, r, plat.Provider))
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, ranks)

@@ -20,7 +20,7 @@ import (
 	"lci/internal/core"
 	"lci/internal/mpibase"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 	"lci/internal/rpc"
 )
 
@@ -74,17 +74,14 @@ func runMPI(ranks, vcis int) (time.Duration, error) {
 	fab := fabric.New(fabric.Config{NumRanks: ranks})
 	trs := make([]*rpc.MPITransport, ranks)
 	for r := 0; r < ranks; r++ {
-		prov, err := raw.Open(plat.Provider, fab, r, plat.IBV, plat.OFI)
-		if err != nil {
-			return 0, err
-		}
-		m := mpibase.New(prov, r, ranks, mpibase.Config{
+		m := mpibase.New(nic.NewDomain(fab, r, plat.Provider), mpibase.Config{
 			NumVCIs: vcis, AssertNoAnyTag: true, AssertAllowOvertaking: true,
 		})
-		trs[r], err = rpc.NewMPITransport(m, *threads, 1<<16)
+		tr, err := rpc.NewMPITransport(m, *threads, 1<<16)
 		if err != nil {
 			return 0, err
 		}
+		trs[r] = tr
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, ranks)

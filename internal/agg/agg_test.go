@@ -11,20 +11,18 @@ import (
 	"lci/internal/agg"
 	"lci/internal/core"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/network"
+	"lci/internal/netsim/nic"
 	"lci/internal/topo"
 )
 
 // newRuntimes builds n in-process ranks over one fabric, the core_test
 // idiom. Small pools keep the tests honest about resource recycling.
-func newRuntimes(t *testing.T, n int, be ibv.Config, cfg core.Config) []*core.Runtime {
+func newRuntimes(t *testing.T, n int, be nic.Config, cfg core.Config) []*core.Runtime {
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: n, Topo: cfg.Topology})
-	backend := network.NewIBV(be)
 	rts := make([]*core.Runtime, n)
 	for r := 0; r < n; r++ {
-		rt, err := core.NewRuntime(backend, fab, r, cfg)
+		rt, err := core.NewRuntime(be, fab, r, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +48,7 @@ func (s *recSink) sink(src int, rec []byte) {
 }
 
 func TestAggRoundTrip(t *testing.T) {
-	rts := newRuntimes(t, 2, ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
+	rts := newRuntimes(t, 2, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
 		core.Config{NumDevices: 2, PacketsPerWorker: 64, PreRecvs: 16})
 	var got recSink
 	cfg := agg.Config{BufBytes: 512}
@@ -104,7 +102,7 @@ func TestAggRoundTrip(t *testing.T) {
 // TestAggSizeFlush: filling a buffer must post it without any explicit
 // Flush call (flush-on-size).
 func TestAggSizeFlush(t *testing.T) {
-	rts := newRuntimes(t, 2, ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
+	rts := newRuntimes(t, 2, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
 		core.Config{PacketsPerWorker: 16, PreRecvs: 8})
 	var got recSink
 	cfg := agg.Config{BufBytes: 64} // 3 x 16-byte records and change
@@ -132,7 +130,7 @@ func TestAggSizeFlush(t *testing.T) {
 // TestAggAgeFlush: a lone record must be sealed by the poll-driven age
 // timer, with no size trigger and no explicit Flush.
 func TestAggAgeFlush(t *testing.T) {
-	rts := newRuntimes(t, 2, ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
+	rts := newRuntimes(t, 2, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
 		core.Config{PacketsPerWorker: 16, PreRecvs: 8})
 	var got recSink
 	cfg := agg.Config{BufBytes: 4096, FlushAge: 8}
@@ -153,7 +151,7 @@ func TestAggAgeFlush(t *testing.T) {
 }
 
 func TestAggRecordTooLarge(t *testing.T) {
-	rts := newRuntimes(t, 1, ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
+	rts := newRuntimes(t, 1, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
 		core.Config{PacketsPerWorker: 8, PreRecvs: 4})
 	ag := agg.New(rts[0], func(int, []byte) {}, agg.Config{BufBytes: 64})
 	th := ag.ThreadOn(0)
@@ -177,7 +175,7 @@ func TestAggRecordTooLarge(t *testing.T) {
 // accepted record is delivered exactly once.
 func TestAggBackpressureBounded(t *testing.T) {
 	const bufBytes, bufsPerDest = 256, 2
-	rts := newRuntimes(t, 2, ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1, TxDepth: 1},
+	rts := newRuntimes(t, 2, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1, TxDepth: 1},
 		core.Config{PacketsPerWorker: 64, PreRecvs: 32})
 	var got recSink
 	cfg := agg.Config{BufBytes: bufBytes, BufsPerDest: bufsPerDest}
@@ -231,7 +229,7 @@ func TestAggBackpressureBounded(t *testing.T) {
 func TestAggHomingFunctional(t *testing.T) {
 	for _, homing := range []agg.Homing{agg.HomeDevice, agg.HomeFarthest} {
 		tp := topo.Uniform(2, 4)
-		rts := newRuntimes(t, 2, ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1, CrossDomainNs: 10},
+		rts := newRuntimes(t, 2, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1, CrossDomainNs: 10},
 			core.Config{NumDevices: 2, PacketsPerWorker: 32, PreRecvs: 8, Topology: tp})
 		var got recSink
 		cfg := agg.Config{BufBytes: 256, Homing: homing, CrossMemNs: 5}
@@ -260,7 +258,7 @@ func TestAggHomingFunctional(t *testing.T) {
 // CI race job.
 func TestAggConcurrentProducers(t *testing.T) {
 	const ranks, devs, producers, iters = 3, 2, 4, 300
-	rts := newRuntimes(t, ranks, ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
+	rts := newRuntimes(t, ranks, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
 		core.Config{NumDevices: devs, PacketsPerWorker: 64, PreRecvs: 16})
 	sinks := make([]*recSink, ranks)
 	ags := make([]*agg.Aggregator, ranks)

@@ -9,8 +9,7 @@ import (
 	"lci/internal/core"
 	"lci/internal/fault"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/network"
+	"lci/internal/netsim/nic"
 )
 
 // newFaultRuntimes mirrors newRuntimes but installs a fault injector on
@@ -20,10 +19,10 @@ func newFaultRuntimes(t *testing.T, n int, inj *fault.Injector, cfg core.Config)
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: n, Topo: cfg.Topology})
 	fab.SetInjector(inj)
-	backend := network.NewIBV(ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1})
+	provider := nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1}
 	rts := make([]*core.Runtime, n)
 	for r := 0; r < n; r++ {
-		rt, err := core.NewRuntime(backend, fab, r, cfg)
+		rt, err := core.NewRuntime(provider, fab, r, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 	"lci/internal/amt"
 	"lci/internal/mpibase"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 	"lci/internal/rpc"
 )
 
@@ -47,17 +47,14 @@ func runMPI(t *testing.T, ranks, threads, vcis int) []amt.Result {
 	fab := fabric.New(fabric.Config{NumRanks: ranks})
 	trs := make([]*rpc.MPITransport, ranks)
 	for r := 0; r < ranks; r++ {
-		prov, err := raw.Open(plat.Provider, fab, r, plat.IBV, plat.OFI)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := mpibase.New(prov, r, ranks, mpibase.Config{
+		m := mpibase.New(nic.NewDomain(fab, r, plat.Provider), mpibase.Config{
 			NumVCIs: vcis, AssertNoAnyTag: true, AssertAllowOvertaking: true,
 		})
-		trs[r], err = rpc.NewMPITransport(m, threads, 1<<16)
+		tr, err := rpc.NewMPITransport(m, threads, 1<<16)
 		if err != nil {
 			t.Fatal(err)
 		}
+		trs[r] = tr
 	}
 	results := make([]amt.Result, ranks)
 	errs := make([]error, ranks)

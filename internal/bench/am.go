@@ -42,10 +42,11 @@ func (r AMResult) String() string {
 //     before it collapsed onto handler completions. AMs land in one
 //     shared completion queue per rank; every thread's serve step is
 //     progress + pop + callback dispatch, and replies are posted from
-//     thread context through the deprecated tagged entry point with
-//     per-call variadic options — the per-message costs (status boxing,
+//     thread context with PostAM and per-call variadic options
+//     (WithTag, WithDevice) — the per-message costs (status boxing,
 //     shared MPMC traffic, payload copy, option allocation) the handler
-//     path deletes.
+//     path deletes. A reply lands on the device of whichever responder
+//     thread popped the ping, so it can reach any initiator device.
 func AMRate(platform lci.Platform, threads, iters int, path string) (AMResult, error) {
 	if path != "handler" && path != "cqshim" {
 		return AMResult{}, fmt.Errorf("bench: unknown AM path %q", path)
@@ -59,6 +60,11 @@ func AMRate(platform lci.Platform, threads, iters int, path string) (AMResult, e
 	// on the shared-queue path that is regularly a different thread.
 	pongs := make([]atomic.Int64, threads)
 	var done atomic.Bool // initiator finished; responders may stop serving
+	// finished counts initiator threads done with their iterations. On the
+	// cqshim path a pong can land on any initiator device, so a finished
+	// initiator keeps progressing its device until every pair is done; on
+	// the handler path pongs return to the pair's own device.
+	var finished atomic.Int32
 	var elapsed time.Duration
 
 	err := w.Launch(func(rt *lci.Runtime) error {
@@ -126,8 +132,8 @@ func AMRate(platform lci.Platform, threads, iters int, path string) (AMResult, e
 						// Reply from thread context, the way the shim's
 						// Serve loop did.
 						for {
-							rst, err := rt.PostAMTagged(st.Rank, pong, st.Tag, rc, nil,
-								lci.WithDevice(dev))
+							rst, err := rt.PostAM(st.Rank, pong, rc,
+								lci.WithTag(st.Tag), lci.WithDevice(dev))
 							if err != nil {
 								panic(err)
 							}
@@ -156,6 +162,13 @@ func AMRate(platform lci.Platform, threads, iters int, path string) (AMResult, e
 							if miss&63 == 63 {
 								runtime.Gosched() // oversubscription fairness
 							}
+						}
+					}
+					finished.Add(1)
+					for miss := 0; cq != nil && finished.Load() < int32(threads); miss++ {
+						serve()
+						if miss&63 == 63 {
+							runtime.Gosched()
 						}
 					}
 					return

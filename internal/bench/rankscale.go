@@ -188,7 +188,7 @@ func RankScaleSparse(platform lci.Platform, ranks, peersPerRank int) (SparseStat
 				}
 			}
 		}
-		devPeers[rt.Rank()] = rt.DefaultDevice().ConnectedPeers()
+		devPeers[rt.Rank()] = rt.Telemetry().Snapshot().Devices[0].Gauges.ConnectedPeers
 		return nil
 	})
 	if err != nil {

@@ -481,10 +481,10 @@ func TestCollAffinityDevice(t *testing.T) {
 		if got := int64(binary.LittleEndian.Uint64(recv)); got != 0+1+2 {
 			return fmt.Errorf("allreduce got %d", got)
 		}
-		if msgs := rt.Device(0).NetStats().Msgs; msgs != 0 {
+		if msgs := rt.Telemetry().Snapshot().Devices[0].Gauges.Net.Msgs; msgs != 0 {
 			return fmt.Errorf("device 0 saw %d messages; pinned collectives must ride device 1", msgs)
 		}
-		if msgs := rt.Device(1).NetStats().Msgs; msgs == 0 {
+		if msgs := rt.Telemetry().Snapshot().Devices[1].Gauges.Net.Msgs; msgs == 0 {
 			return fmt.Errorf("device 1 saw no traffic")
 		}
 		return nil

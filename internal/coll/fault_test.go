@@ -10,8 +10,7 @@ import (
 	"lci/internal/core"
 	"lci/internal/fault"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/network"
+	"lci/internal/netsim/nic"
 )
 
 // newFaultComms builds n in-process ranks over one fabric with a fault
@@ -21,11 +20,11 @@ func newFaultComms(t *testing.T, n int, inj *fault.Injector) ([]*core.Runtime, [
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: n})
 	fab.SetInjector(inj)
-	backend := network.NewIBV(ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1})
+	provider := nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1}
 	rts := make([]*core.Runtime, n)
 	comms := make([]*coll.Comm, n)
 	for r := 0; r < n; r++ {
-		rt, err := core.NewRuntime(backend, fab, r, core.Config{PacketsPerWorker: 64, PreRecvs: 16})
+		rt, err := core.NewRuntime(provider, fab, r, core.Config{PacketsPerWorker: 64, PreRecvs: 16})
 		if err != nil {
 			t.Fatal(err)
 		}

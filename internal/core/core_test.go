@@ -9,8 +9,7 @@ import (
 
 	"lci/internal/base"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/network"
+	"lci/internal/netsim/nic"
 )
 
 func TestWireHeaderRoundTrip(t *testing.T) {
@@ -106,7 +105,7 @@ func newTestRuntime(t *testing.T, n int) []*Runtime {
 func newTestRuntimeCfg(t *testing.T, n int, cfg Config) []*Runtime {
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: n})
-	be := network.NewIBV(ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1})
+	be := nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1}
 	rts := make([]*Runtime, n)
 	for r := 0; r < n; r++ {
 		rt, err := NewRuntime(be, fab, r, cfg)
@@ -288,7 +287,7 @@ func TestUnpinnedPostsStripe(t *testing.T) {
 		t.Fatalf("delivered %d of %d", got.n.Load(), msgs)
 	}
 	for i := 0; i < devices; i++ {
-		if n := rts[1].Device(i).NetStats().Msgs; n < msgs/devices/2 {
+		if n := rts[1].Telemetry().Snapshot().Devices[i].Gauges.Net.Msgs; n < msgs/devices/2 {
 			t.Errorf("endpoint %d carried %d msgs; striping should spread ~%d per device", i, n, msgs/devices)
 		}
 	}
@@ -327,7 +326,7 @@ func TestRegisterThreadRoundRobin(t *testing.T) {
 	if got.n.Load() != msgs {
 		t.Fatalf("delivered %d of %d via peer device 2", got.n.Load(), msgs)
 	}
-	if n := rts[1].Device(2).NetStats().Msgs; n != msgs {
+	if n := rts[1].Telemetry().Snapshot().Devices[2].Gauges.Net.Msgs; n != msgs {
 		t.Fatalf("peer endpoint 2 carried %d msgs, want %d", n, msgs)
 	}
 }
@@ -366,10 +365,10 @@ func TestRemoteDeviceZeroExplicit(t *testing.T) {
 	if got.n.Load() != 3 {
 		t.Fatalf("delivered %d of 3", got.n.Load())
 	}
-	if n := rts[1].Device(0).NetStats().Msgs; n != 1 {
+	if n := rts[1].Telemetry().Snapshot().Devices[0].Gauges.Net.Msgs; n != 1 {
 		t.Errorf("endpoint 0 carried %d msgs, want 1 (explicit RemoteDevice 0)", n)
 	}
-	if n := rts[1].Device(1).NetStats().Msgs; n != 2 {
+	if n := rts[1].Telemetry().Snapshot().Devices[1].Gauges.Net.Msgs; n != 2 {
 		t.Errorf("endpoint 1 carried %d msgs, want 2 (default + legacy hint)", n)
 	}
 }
@@ -384,7 +383,7 @@ func TestMultiDeviceBacklogConcurrentDrain(t *testing.T) {
 	// A 4-deep transmit queue per device makes rapid-fire posting outrun
 	// the network, so most posts divert to the backlogs.
 	fab := fabric.New(fabric.Config{NumRanks: 2})
-	be := network.NewIBV(ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1, TxDepth: 4})
+	be := nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1, TxDepth: 4}
 	cfg := Config{NumDevices: devices, PacketsPerWorker: 32, PreRecvs: 4}
 	rts := make([]*Runtime, 2)
 	for r := range rts {

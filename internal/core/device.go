@@ -22,7 +22,7 @@ import (
 // worker, and keeps the network supplied with pre-posted receives.
 type Device struct {
 	rt     *Runtime
-	net    network.Device
+	net    *network.Device
 	worker *packet.Worker
 	bq     *backlog.Queue
 	tokens tokenTable
@@ -119,10 +119,7 @@ func (rt *Runtime) NewDevice() (*Device, error) {
 	if rt.closed {
 		return nil, ErrClosed
 	}
-	nd, err := rt.netctx.NewDevice()
-	if err != nil {
-		return nil, err
-	}
+	nd := network.NewDevice(rt.netdom)
 	dom := topo.UnknownDomain
 	if t := rt.cfg.Topology; !t.Single() {
 		dom = rt.cfg.Placement.DeviceDomain(t, nd.Index(), rt.cfg.NumDevices)
@@ -215,9 +212,6 @@ func (d *Device) noteRetry(err error) {
 		d.tc.NoteRetry(errors.Is(err, errNoPacket), errors.Is(err, network.ErrTxFull))
 	}
 }
-
-// Close frees the device (free_device in the paper).
-func (d *Device) Close() error { return d.net.Close() }
 
 // BacklogLen reports the backlog queue length (diagnostics).
 func (d *Device) BacklogLen() int { return d.bq.Len() }
@@ -333,35 +327,6 @@ func (d *Device) progressSlow(w *packet.Worker) int {
 	d.tc.Completions.Add(int64(n))
 	return n
 }
-
-// Stats reports how many progress rounds found completions and how many
-// completions were processed.
-//
-// Deprecated: Stats is a thin view over the telemetry counters — the same
-// numbers appear as ProgressRounds / Completions in
-// Runtime.Telemetry().Snapshot(), alongside every other layer. The
-// progress counters are maintained unconditionally (they live on the
-// slow path), so this keeps working even with counters disabled.
-func (d *Device) Stats() (rounds, comps int64) {
-	return d.tc.ProgressRounds.Load(), d.tc.Completions.Load()
-}
-
-// NetStats snapshots the device's fabric-endpoint counters (messages
-// received, bytes, RNR events). Multi-device gates read these to verify
-// traffic really strips across the pool.
-//
-// Deprecated: the same numbers appear as the device's Gauges.Net in
-// Runtime.Telemetry().Snapshot().
-func (d *Device) NetStats() fabric.Stats { return d.net.Stats() }
-
-// ConnectedPeers reports how many peers this device's backend has
-// established provider state toward (ibv QPs / ofi address-vector
-// entries). Establishment is connect-on-first-use, so after a sparse
-// workload this tracks the peers actually posted to, not NumRanks.
-//
-// Deprecated: the same number appears as the device's
-// Gauges.ConnectedPeers in Runtime.Telemetry().Snapshot().
-func (d *Device) ConnectedPeers() int { return d.net.ConnectedPeers() }
 
 // handleCompletion reacts to one network completion.
 func (d *Device) handleCompletion(c *network.Completion, w *packet.Worker) {
@@ -577,20 +542,14 @@ type rdvState struct {
 // posting call that already matched, so it cannot bounce a retry to the
 // user (§5.1.5); fatal failures error-complete the receive.
 func (d *Device) respondRTR(src int, senderToken uint64, st *rdvState) {
-	rkey, err := d.net.RegisterMem(st.buf)
-	if err != nil {
-		// Registration try-locks never fail in the simulated providers;
-		// treat failure as fatal programming error.
-		panic("lci: RegisterMem failed: " + err.Error())
-	}
-	st.rkey = rkey
+	st.rkey = d.net.RegisterMem(st.buf)
 	rtoken := d.tokens.alloc(st)
 	hdr := header{
 		kind:  kRTR,
 		rcomp: base.RComp(rtoken),
 		size:  uint32(d.Index()),
 		token: senderToken,
-		rkey:  rkey,
+		rkey:  st.rkey,
 	}
 	if d.hardened {
 		st.senderToken = senderToken
@@ -714,9 +673,7 @@ func (d *Device) handleWriteImm(src int, imm uint64, length int) {
 		if d.hardened {
 			d.noteSeenDone(st.src, st.senderToken)
 		}
-		if err := d.net.DeregisterMem(st.rkey); err != nil {
-			panic("lci: DeregisterMem failed: " + err.Error())
-		}
+		d.net.DeregisterMem(st.rkey)
 		status := base.Status{
 			State: base.Done, Rank: st.src, Tag: st.tag,
 			Buffer: st.buf[:length], Size: length, Ctx: st.ctx,

@@ -8,8 +8,7 @@ import (
 	"lci/internal/comp"
 	"lci/internal/fault"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/network"
+	"lci/internal/netsim/nic"
 )
 
 // newFaultRuntimes builds n runtimes over a fabric with inj installed
@@ -21,7 +20,7 @@ func newFaultRuntimes(t *testing.T, n int, inj *fault.Injector, cfg Config) []*R
 	if inj != nil {
 		fab.SetInjector(inj)
 	}
-	be := network.NewIBV(ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1})
+	be := nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1}
 	rts := make([]*Runtime, n)
 	for r := 0; r < n; r++ {
 		rt, err := NewRuntime(be, fab, r, cfg)

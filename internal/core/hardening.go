@@ -157,7 +157,7 @@ func (d *Device) failSend(ss *sendState, err error) {
 // registration, tombstone the handshake so late duplicates are absorbed,
 // reclaim AM buffers, and signal the receive's completion object.
 func (d *Device) failRecv(st *rdvState, err error) {
-	_ = d.net.DeregisterMem(st.rkey)
+	d.net.DeregisterMem(st.rkey)
 	d.noteSeenDone(st.src, st.senderToken)
 	if d.tel.Counting() && errors.Is(err, network.ErrPeerDead) {
 		d.tc.PeerDeadErrors.Add(1)

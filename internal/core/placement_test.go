@@ -4,8 +4,7 @@ import (
 	"testing"
 
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/network"
+	"lci/internal/netsim/nic"
 	"lci/internal/topo"
 )
 
@@ -15,7 +14,7 @@ import (
 func newTopoRuntimes(t *testing.T, n int, tp *topo.Topology, cfg Config) []*Runtime {
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: n, Topo: tp})
-	be := network.NewIBV(ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1, CrossDomainNs: 1})
+	be := nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1, CrossDomainNs: 1}
 	cfg.Topology = tp
 	rts := make([]*Runtime, n)
 	for r := 0; r < n; r++ {
@@ -182,7 +181,7 @@ func TestCrossDomainOpsCounted(t *testing.T) {
 			if got.n.Load() != msgs {
 				t.Fatalf("delivered %d of %d", got.n.Load(), msgs)
 			}
-			cross := a.Device().NetStats().CrossOps
+			cross := rts[0].Telemetry().Snapshot().Devices[a.Device().Index()].Gauges.Net.CrossOps
 			if tc.wantCross && cross < msgs {
 				t.Errorf("cross-domain ops = %d, want >= %d (every post crosses)", cross, msgs)
 			}
@@ -231,7 +230,7 @@ func TestUnpinnedStripePrefersLocalDevices(t *testing.T) {
 	// Posts targeted the peer's same-index endpoints, so the domain-1
 	// endpoints (1, 3) carry everything and the domain-0 endpoints nothing.
 	for i := 0; i < 4; i++ {
-		n := rts[1].Device(i).NetStats().Msgs
+		n := rts[1].Telemetry().Snapshot().Devices[i].Gauges.Net.Msgs
 		if i%2 == 1 && n < msgs/4 {
 			t.Errorf("local endpoint %d carried %d msgs, want a fair share of %d", i, n, msgs)
 		}

@@ -6,8 +6,7 @@ import (
 
 	"lci/internal/base"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/network"
+	"lci/internal/netsim/nic"
 )
 
 // newTinyPoolRuntimes builds a 2-rank world where rank 0's packet pool
@@ -22,7 +21,7 @@ import (
 func newTinyPoolRuntimes(t *testing.T) []*Runtime {
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: 2})
-	be := network.NewIBV(ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1, TxDepth: 256})
+	be := nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1, TxDepth: 256}
 	cfgs := []Config{
 		{PacketsPerWorker: 4, PreRecvs: 4}, // rank 0: window == pool, sends starve
 		{PacketsPerWorker: 64, PreRecvs: 8},

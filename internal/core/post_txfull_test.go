@@ -6,8 +6,7 @@ import (
 
 	"lci/internal/base"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/network"
+	"lci/internal/netsim/nic"
 )
 
 // newTxDepthRuntimes builds a 2-rank world whose provider has a tiny
@@ -16,7 +15,7 @@ import (
 func newTxDepthRuntimes(t *testing.T, txDepth int) []*Runtime {
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: 2})
-	be := network.NewIBV(ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1, TxDepth: txDepth})
+	be := nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1, TxDepth: txDepth}
 	cfg := Config{PacketsPerWorker: 64, PreRecvs: 8}
 	rts := make([]*Runtime, 2)
 	for r := range rts {

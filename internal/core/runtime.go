@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"lci/internal/base"
@@ -11,6 +10,7 @@ import (
 	"lci/internal/matching"
 	"lci/internal/mpmc"
 	"lci/internal/netsim/fabric"
+	"lci/internal/netsim/nic"
 	"lci/internal/network"
 	"lci/internal/packet"
 	"lci/internal/telemetry"
@@ -133,7 +133,7 @@ func (c Config) withDefaults() Config {
 // process).
 type Runtime struct {
 	cfg     Config
-	netctx  network.Context
+	netdom  *nic.Domain
 	pool    *packet.Pool
 	defME   *matching.Engine
 	engines *mpmc.Array[*matching.Engine]
@@ -175,16 +175,14 @@ type Runtime struct {
 	domDevs   []*mpmc.Array[int] // pool-device indices per domain
 }
 
-// NewRuntime builds a runtime for rank over the given backend and fabric.
-func NewRuntime(backend network.Backend, fab *fabric.Fabric, rank int, cfg Config) (*Runtime, error) {
+// NewRuntime builds a runtime for rank on fab over the simulated provider
+// configured by provider.
+func NewRuntime(provider nic.Config, fab *fabric.Fabric, rank int, cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
-	netctx, err := backend.NewContext(fab, rank)
-	if err != nil {
-		return nil, fmt.Errorf("lci: opening backend %s: %w", backend.Name(), err)
-	}
+	netdom := nic.NewDomain(fab, rank, provider)
 	rt := &Runtime{
 		cfg:      cfg,
-		netctx:   netctx,
+		netdom:   netdom,
 		fab:      fab,
 		pool:     packet.NewPool(cfg.PacketSize, cfg.PacketsPerWorker),
 		defME:    matching.New(cfg.MatchBuckets),
@@ -193,7 +191,7 @@ func NewRuntime(backend network.Backend, fab *fabric.Fabric, rank int, cfg Confi
 		rcomps:   mpmc.NewArray[base.Comp](8),
 		handlers: newHandlerTable(),
 		rank:     rank,
-		nranks:   netctx.NumRanks(),
+		nranks:   netdom.NumRanks(),
 		tel:      telemetry.New(cfg.Telemetry),
 	}
 	rt.pool.SetFlags(&rt.tel.Flags)
@@ -485,8 +483,7 @@ const closeDrainRounds = 64
 // Close shuts the runtime down. It first drains: a bounded number of
 // progress rounds lets completions already in the fabric land. Whatever
 // is still in flight afterwards is error-completed with ErrClosed — every
-// completion object is signaled exactly once, never leaked — and only
-// then are the devices torn down.
+// completion object is signaled exactly once, never leaked.
 func (rt *Runtime) Close() error {
 	if rt.closed {
 		return nil
@@ -497,19 +494,10 @@ func (rt *Runtime) Close() error {
 		}
 	}
 	rt.closed = true
-	var firstErr error
 	for i, n := 0, rt.devs.Len(); i < n; i++ {
 		rt.devs.Get(i).abortInFlight()
 	}
-	for i, n := 0, rt.devs.Len(); i < n; i++ {
-		if err := rt.devs.Get(i).Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := rt.netctx.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return nil
 }
 
 // MaxEager returns the largest payload the eager protocol can carry.

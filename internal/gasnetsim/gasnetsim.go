@@ -16,7 +16,7 @@ import (
 	"fmt"
 
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 	"lci/internal/spin"
 )
 
@@ -49,7 +49,7 @@ const amHdrSize = 8 // handler(2) pad(2) arg(4)
 type GASNet struct {
 	cfg      Config
 	rank, n  int
-	dev      raw.Device
+	dev      *nic.Device
 	handlers []Handler
 
 	txMu spin.Mutex // injection lock (short)
@@ -60,10 +60,10 @@ type GASNet struct {
 	compBatch []fabric.Completion // poll scratch; protected by pollMu
 }
 
-// New builds the library for rank over provider prov.
-func New(prov *raw.Provider, rank, n int, cfg Config) *GASNet {
+// New builds the library for the rank of provider domain dom.
+func New(dom *nic.Domain, cfg Config) *GASNet {
 	cfg = cfg.withDefaults()
-	g := &GASNet{cfg: cfg, rank: rank, n: n, dev: prov.NewDevice(), deficit: cfg.PreRecvs}
+	g := &GASNet{cfg: cfg, rank: dom.Rank(), n: dom.NumRanks(), dev: dom.NewDevice(), deficit: cfg.PreRecvs}
 	for i := 0; i < cfg.PreRecvs; i++ {
 		g.recvBufs = append(g.recvBufs, make([]byte, cfg.PacketSize))
 	}
@@ -92,7 +92,7 @@ func (g *GASNet) replenish() {
 	for g.deficit > 0 && len(g.recvBufs) > 0 {
 		buf := g.recvBufs[len(g.recvBufs)-1]
 		g.recvBufs = g.recvBufs[:len(g.recvBufs)-1]
-		g.dev.PostRecvBuf(buf, buf)
+		g.dev.PostRecv(buf, buf)
 		g.deficit--
 	}
 	g.txMu.Unlock()
@@ -116,7 +116,7 @@ func (g *GASNet) RequestMedium(dst, handler int, arg uint32, payload []byte) {
 		if err == nil {
 			return
 		}
-		if !raw.IsTxFull(err) {
+		if err != nic.ErrTxFull {
 			panic(fmt.Sprintf("gasnetsim: AM failed: %v", err))
 		}
 		g.Poll()

@@ -7,9 +7,7 @@ import (
 
 	"lci/internal/gasnetsim"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/netsim/ofi"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 )
 
 func newPair(t *testing.T) (*gasnetsim.GASNet, *gasnetsim.GASNet) {
@@ -17,11 +15,7 @@ func newPair(t *testing.T) (*gasnetsim.GASNet, *gasnetsim.GASNet) {
 	fab := fabric.New(fabric.Config{NumRanks: 2})
 	gs := make([]*gasnetsim.GASNet, 2)
 	for r := 0; r < 2; r++ {
-		prov, err := raw.Open("ibv", fab, r, ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1}, ofi.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs[r] = gasnetsim.New(prov, r, 2, gasnetsim.Config{})
+		gs[r] = gasnetsim.New(nic.NewDomain(fab, r, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1}), gasnetsim.Config{})
 	}
 	return gs[0], gs[1]
 }

@@ -8,7 +8,7 @@ import (
 	"lci"
 	"lci/internal/kmer"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 	"lci/internal/rpc"
 )
 
@@ -266,11 +266,7 @@ func TestKmerPipelineGASNetMatchesOracle(t *testing.T) {
 	plat := lci.SimExpanse()
 	trs := make([]*rpc.GASNetTransport, ranks)
 	for r := 0; r < ranks; r++ {
-		prov, err := raw.Open(plat.Provider, fab, r, plat.IBV, plat.OFI)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs[r] = rpc.NewGASNetTransport(prov, r, ranks)
+		trs[r] = rpc.NewGASNetTransport(nic.NewDomain(fab, r, plat.Provider))
 	}
 	results := make([]kmer.Result, ranks)
 	var wg sync.WaitGroup

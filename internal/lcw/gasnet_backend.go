@@ -6,28 +6,22 @@ import (
 	"lci/internal/gasnetsim"
 	"lci/internal/mpmc"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/netsim/ofi"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 )
 
 // NewGASNetJob builds an LCW job over the GASNet-EX-like baseline. GASNet
 // supports only the shared-resource mode and only active messages (§6.2);
 // Send/Recv report unsupported. One LCW handler is registered; its 32-bit
 // argument routes the payload to the target thread's inbox.
-func NewGASNetJob(cfg Config, provider string, ibvCfg ibv.Config, ofiCfg ofi.Config) (*Job, error) {
+func NewGASNetJob(cfg Config, prov nic.Config) (*Job, error) {
 	if cfg.Dedicated {
 		return nil, fmt.Errorf("lcw: GASNet does not support the dedicated-resource mode (§2.2)")
 	}
 	fab := fabric.New(fabric.Config{NumRanks: cfg.Ranks})
 	j := &Job{cfg: cfg, fab: fab}
 	for r := 0; r < cfg.Ranks; r++ {
-		prov, err := raw.Open(provider, fab, r, ibvCfg, ofiCfg)
-		if err != nil {
-			return nil, err
-		}
 		_, packetSize, preRecvs := cfg.sizing()
-		g := gasnetsim.New(prov, r, cfg.Ranks, gasnetsim.Config{PacketSize: packetSize, PreRecvs: preRecvs})
+		g := gasnetsim.New(nic.NewDomain(fab, r, prov), gasnetsim.Config{PacketSize: packetSize, PreRecvs: preRecvs})
 		c := &gasnetComm{g: g, threads: make([]*gasnetThread, cfg.ThreadsPerRank)}
 		for t := 0; t < cfg.ThreadsPerRank; t++ {
 			c.threads[t] = &gasnetThread{comm: c, idx: t, inbox: mpmc.NewQueue[Message](256)}

@@ -26,9 +26,9 @@ func NewJob(cfg Config, platform lci.Platform) (*Job, error) {
 	case LCI:
 		return NewLCIJob(cfg, platform, core.Config{})
 	case MPI, MPIX:
-		return NewMPIJob(cfg, cfg.Kind, platform.Provider, platform.IBV, platform.OFI)
+		return NewMPIJob(cfg, cfg.Kind, platform.Provider)
 	case GASNET:
-		return NewGASNetJob(cfg, platform.Provider, platform.IBV, platform.OFI)
+		return NewGASNetJob(cfg, platform.Provider)
 	default:
 		return nil, fmt.Errorf("lcw: unknown backend kind %v", cfg.Kind)
 	}

@@ -5,9 +5,7 @@ import (
 
 	"lci/internal/mpibase"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/netsim/ofi"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 )
 
 // amRecvDepth is the number of pre-posted AM receives per thread — the
@@ -27,7 +25,7 @@ func srTagOf(thread int) int { return 2*thread + 1 }
 // standard MPI (one VCI) or MPIX (one VCI per thread in dedicated mode).
 // The benchmark assertions of §6.2 (no AnyTag, allow overtaking, no
 // global progress) are always applied, as in the paper.
-func NewMPIJob(cfg Config, kind Kind, provider string, ibvCfg ibv.Config, ofiCfg ofi.Config) (*Job, error) {
+func NewMPIJob(cfg Config, kind Kind, prov nic.Config) (*Job, error) {
 	if kind != MPI && kind != MPIX {
 		return nil, fmt.Errorf("lcw: NewMPIJob wants MPI or MPIX, got %v", kind)
 	}
@@ -39,11 +37,7 @@ func NewMPIJob(cfg Config, kind Kind, provider string, ibvCfg ibv.Config, ofiCfg
 	fab := fabric.New(fabric.Config{NumRanks: cfg.Ranks})
 	j := &Job{cfg: cfg, fab: fab}
 	for r := 0; r < cfg.Ranks; r++ {
-		prov, err := raw.Open(provider, fab, r, ibvCfg, ofiCfg)
-		if err != nil {
-			return nil, err
-		}
-		m := mpibase.New(prov, r, cfg.Ranks, mpibase.Config{
+		m := mpibase.New(nic.NewDomain(fab, r, prov), mpibase.Config{
 			NumVCIs:               numVCIs,
 			AssertNoAnyTag:        true,
 			AssertAllowOvertaking: true,

@@ -11,7 +11,7 @@
 // resource mode): operations hash to a VCI by (communicator, tag), and
 // only threads landing on the same VCI contend.
 //
-// The implementation sits directly on the raw simulated providers with
+// The implementation sits directly on the simulated provider devices with
 // their blocking locks, exactly as MPICH sits on libibverbs/libfabric
 // (§6.2: MPICH's netmod). The eager/rendezvous split mirrors MPICH's.
 package mpibase
@@ -23,7 +23,7 @@ import (
 	"sync/atomic"
 
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 	"lci/internal/spin"
 )
 
@@ -179,7 +179,7 @@ type rdvRecv struct {
 // matching state, all under one lock.
 type vci struct {
 	mu         spin.Mutex // the global critical section
-	dev        raw.Device
+	dev        *nic.Device
 	posted     []*postedRecv
 	unexpected []*unexpMsg
 	sendSeq    []uint32 // per destination rank
@@ -200,14 +200,15 @@ type MPI struct {
 	vcis []*vci
 }
 
-// New builds the library for rank over provider prov.
-func New(prov *raw.Provider, rank, n int, cfg Config) *MPI {
+// New builds the library for the rank of provider domain dom.
+func New(dom *nic.Domain, cfg Config) *MPI {
 	cfg = cfg.withDefaults()
-	m := &MPI{cfg: cfg, rank: rank, n: n}
+	n := dom.NumRanks()
+	m := &MPI{cfg: cfg, rank: dom.Rank(), n: n}
 	m.vcis = make([]*vci, cfg.NumVCIs)
 	for i := range m.vcis {
 		v := &vci{
-			dev:     prov.NewDevice(),
+			dev:     dom.NewDevice(),
 			sendSeq: make([]uint32, n),
 			recvSeq: make([]uint32, n),
 			tokens:  make(map[uint64]any),
@@ -252,7 +253,7 @@ func (v *vci) replenishLocked() {
 	for v.deficit > 0 && len(v.recvBufs) > 0 {
 		buf := v.recvBufs[len(v.recvBufs)-1]
 		v.recvBufs = v.recvBufs[:len(v.recvBufs)-1]
-		v.dev.PostRecvBuf(buf, buf)
+		v.dev.PostRecv(buf, buf)
 		v.deficit--
 	}
 }
@@ -304,7 +305,7 @@ func (m *MPI) eagerSendLocked(v *vci, req *Request, buf []byte, dst, tag, comm i
 			}
 			return
 		}
-		if !raw.IsTxFull(err) {
+		if err != nic.ErrTxFull {
 			panic(fmt.Sprintf("mpibase: send failed: %v", err))
 		}
 		// Blocking retry: progress this VCI while holding the lock.
@@ -323,7 +324,7 @@ func (m *MPI) rtsSendLocked(v *vci, req *Request, buf []byte, dst, tag, comm int
 		if err == nil {
 			return
 		}
-		if !raw.IsTxFull(err) {
+		if err != nic.ErrTxFull {
 			panic(fmt.Sprintf("mpibase: RTS failed: %v", err))
 		}
 		m.progressLocked(v)
@@ -408,7 +409,7 @@ func (m *MPI) sendRTRLocked(v *vci, pr *postedRecv, u *unexpMsg) {
 		if err == nil {
 			return
 		}
-		if !raw.IsTxFull(err) {
+		if err != nic.ErrTxFull {
 			panic(fmt.Sprintf("mpibase: RTR failed: %v", err))
 		}
 		m.progressLocked(v)
@@ -536,7 +537,7 @@ func (m *MPI) handleArrivalLocked(v *vci, src int, pkt []byte) {
 			if err == nil {
 				break
 			}
-			if !raw.IsTxFull(err) {
+			if err != nic.ErrTxFull {
 				panic(fmt.Sprintf("mpibase: rendezvous write failed: %v", err))
 			}
 			m.progressLocked(v)

@@ -7,9 +7,7 @@ import (
 
 	"lci/internal/mpibase"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/netsim/ofi"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 )
 
 func newPair(t *testing.T, vcis int) (*mpibase.MPI, *mpibase.MPI) {
@@ -18,11 +16,7 @@ func newPair(t *testing.T, vcis int) (*mpibase.MPI, *mpibase.MPI) {
 	cfg := mpibase.Config{NumVCIs: vcis, AssertNoAnyTag: vcis > 1, AssertAllowOvertaking: true}
 	ms := make([]*mpibase.MPI, 2)
 	for r := 0; r < 2; r++ {
-		prov, err := raw.Open("ibv", fab, r, ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1}, ofi.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms[r] = mpibase.New(prov, r, 2, cfg)
+		ms[r] = mpibase.New(nic.NewDomain(fab, r, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1}), cfg)
 	}
 	return ms[0], ms[1]
 }

@@ -11,7 +11,7 @@
 // simulation is the host memory system, which preserves the per-byte cost
 // structure that shapes the paper's bandwidth results (eager double-copy
 // vs zero-copy rendezvous). Per-operation CPU costs and lock granularity
-// are modeled one layer up, in the ibv/ofi provider simulations.
+// are modeled one layer up, in the provider simulation (internal/netsim/nic).
 //
 // Flow control mirrors InfiniBand reliable-connection semantics closely
 // enough for the evaluation:
@@ -483,7 +483,7 @@ func (e *Endpoint) PollReady(out []Completion) int {
 
 // RegisterMem registers buf at rank for remote access and returns its
 // rkey. Registration is cheap at the fabric layer; provider-level costs
-// (registration caches, locks) are modeled in the ibv/ofi layers.
+// (registration caches, locks) are modeled in internal/netsim/nic.
 func (f *Fabric) RegisterMem(rank int, buf []byte) uint64 {
 	rs := f.rank(rank)
 	key := f.nextKey.Add(1)

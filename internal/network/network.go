@@ -1,12 +1,11 @@
-// Package network is LCI's network backend layer (§5.2.1): a thin
-// abstraction over the simulated libibverbs and libfabric providers, plus
-// the try-lock wrappers of §5.2.2. The LCI runtime talks only to this
-// package; the comparison baselines (MPI-like, GASNet-EX-like) deliberately
-// bypass it and use the raw providers with blocking locks, as their real
-// counterparts do.
+// Package network is LCI's network backend layer (§5.2.1): a thin layer
+// over the simulated provider (internal/netsim/nic) that adds the
+// try-lock wrappers of §5.2.2. The LCI runtime opens one nic.Domain per
+// rank and posts only through the Devices this package wraps. The comparison baselines (MPI-like, GASNet-EX-like) hold
+// *nic.Device directly and block on the provider's native locks, as their
+// real counterparts do.
 //
-// A Context corresponds to an LCI runtime; a Device contains the network
-// resources accessed on the critical path. LCI requires neither tag
+// A Device contains the network resources accessed on the critical path. LCI requires neither tag
 // matching nor unexpected-message handling from the backend: the runtime
 // keeps devices supplied with pre-posted receives.
 package network
@@ -18,8 +17,7 @@ import (
 
 	"lci/internal/fault"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/netsim/ofi"
+	"lci/internal/netsim/nic"
 	"lci/internal/spin"
 )
 
@@ -39,329 +37,111 @@ var ErrTxFull = fmt.Errorf("%w: transmit queue full", ErrRetry)
 // ErrPeerDead reports an operation addressed to a downed rank. Unlike
 // ErrTxFull it does NOT wrap ErrRetry: the peer is gone, not busy, so
 // the runtime error-completes the operation instead of retrying. The
-// providers surface it unchanged from the fabric's fault injector; this
+// provider surfaces it unchanged from the fabric's fault injector; this
 // alias is the identity the layers above match on.
 var ErrPeerDead = fault.ErrPeerDead
 
-// Device is the per-device backend interface consumed by the LCI runtime.
-// All methods may return ErrRetry (or ErrTxFull).
-type Device interface {
-	// Index is this device's endpoint index within its rank; symmetric
-	// jobs address peer device i by passing i as dstDev.
-	Index() int
-	// PostSend posts an eager send of data with metadata meta to endpoint
-	// dstDev of rank dst.
-	PostSend(dst, dstDev int, meta uint32, data []byte, ctx any) error
-	// PostRecv pre-posts a receive buffer.
-	PostRecv(buf []byte, ctx any) error
-	// PostWrite posts an RMA write, optionally with immediate data
-	// notifying endpoint notifyDev of the target rank.
-	PostWrite(dst, notifyDev int, rkey, offset uint64, data []byte, imm uint64, hasImm bool, ctx any) error
-	// PostRead posts an RMA read.
-	PostRead(dst int, rkey, offset uint64, into []byte, ctx any) error
-	// PollCQ drains up to len(out) completions, returning how many.
-	PollCQ(out []Completion) (int, error)
-	// CQEmpty reports, without locking, whether a PollCQ call would find
-	// nothing. Progress engines use it to keep the empty-poll fast path
-	// free of locks and batch-buffer traffic.
-	CQEmpty() bool
-	// RegisterMem registers buf for RMA and returns its rkey.
-	RegisterMem(buf []byte) (uint64, error)
-	// DeregisterMem removes a registration.
-	DeregisterMem(rkey uint64) error
-	// Stats snapshots the device's fabric-endpoint counters (messages,
-	// bytes, RNR events, cross-domain ops, posted receives). Multi-device
-	// runs read these to verify traffic really strips across endpoints.
-	Stats() fabric.Stats
-	// ConnectedPeers reports how many peers this device has established
-	// provider state toward (ibv QPs, ofi address-vector entries).
-	// Establishment is lazy — connect on first post — so after a sparse
-	// workload this is the contacted-peer count, not NumRanks; the
-	// rank-scaling gate asserts on it.
-	ConnectedPeers() int
-	// BindDomain models the device's backing resources as allocated in
-	// NUMA domain dom of the fabric's host topology. The placement policy
-	// calls it once at device-construction time; devices left unbound
-	// never charge cross-domain penalties.
-	BindDomain(dom int)
-	// Domain reports the bound NUMA domain (topo.UnknownDomain unbound).
-	Domain() int
-	// CrossDelay charges the provider's modeled cost of driving this
-	// device from NUMA domain `from` (no-op when local, unbound, or the
-	// caller's domain is unknown). The runtime calls it once per posting
-	// attempt and once per owned (try-lock-winning) CQ poll round.
-	CrossDelay(from int)
-	// Close releases the device.
-	Close() error
+// NewDevice opens one provider device of dom behind try-lock wrappers that
+// mirror its native lock identities (§5.2.2): one wrapper lock per identity
+// the device reports, so paths that share a provider lock share the wrapper
+// too. Under the per-QP layout the send identities are one per peer and —
+// like the QPs they mirror — materialize lazily on first post; only the
+// pointer-slot index is O(ranks). Memory (de)registration is not wrapped:
+// it either takes no provider lock or must block on the global
+// registration-cache mutex regardless, so there is nothing to mitigate.
+func NewDevice(dom *nic.Domain) *Device {
+	nd := dom.NewDevice()
+	d := &Device{Device: nd, locks: make([]atomic.Pointer[spin.Mutex], nd.NumLocks())}
+	d.rx, d.cq = d.lock(nd.RecvLock()), d.lock(nd.CQLock())
+	return d
 }
 
-// Context is the per-runtime backend handle.
-type Context interface {
-	NewDevice() (Device, error)
-	Rank() int
-	NumRanks() int
-	Name() string
-	Close() error
+// Device is a provider device behind LCI's try-lock wrappers: the posting,
+// receive-posting and polling methods return ErrRetry instead of blocking
+// on a busy lock, and ErrTxFull on transmit backpressure. The remaining
+// methods (Index, CQEmpty, RegisterMem, CrossDelay, ...) are the
+// provider's own.
+type Device struct {
+	*nic.Device
+	locks  []atomic.Pointer[spin.Mutex]
+	rx, cq *spin.Mutex
 }
 
-// Backend creates contexts; one Backend describes one provider
-// configuration (e.g. "ibv on SimExpanse").
-type Backend interface {
-	Name() string
-	NewContext(fab *fabric.Fabric, rank int) (Context, error)
-}
-
-// ---------------------------------------------------------------------------
-// libibverbs backend with try-lock wrappers
-
-type ibvBackend struct{ cfg ibv.Config }
-
-// NewIBV returns the libibverbs-simulation backend.
-func NewIBV(cfg ibv.Config) Backend { return &ibvBackend{cfg: cfg} }
-
-func (b *ibvBackend) Name() string { return "ibv" }
-
-func (b *ibvBackend) NewContext(fab *fabric.Fabric, rank int) (Context, error) {
-	return &ibvContext{ctx: ibv.NewContext(fab, rank, b.cfg)}, nil
-}
-
-type ibvContext struct{ ctx *ibv.Context }
-
-func (c *ibvContext) Rank() int     { return c.ctx.Rank() }
-func (c *ibvContext) NumRanks() int { return c.ctx.NumRanks() }
-func (c *ibvContext) Name() string  { return "ibv" }
-func (c *ibvContext) Close() error  { return nil }
-
-func (c *ibvContext) NewDevice() (Device, error) {
-	dev := c.ctx.NewDevice()
-	d := &ibvDevice{dev: dev}
-	// Mirror the native doorbell-lock granularity with LCI-layer
-	// try-locks (§5.2.2): one wrapper lock per native send-lock identity,
-	// plus one for the CQ and one for the SRQ. Under TDPerQP the identity
-	// space is one per peer, so — like the QPs they mirror — the wrapper
-	// locks materialize lazily on first post; only the pointer-slot index
-	// is O(ranks).
-	d.sendMu = make([]atomic.Pointer[spin.Mutex], dev.NumSendLocks())
-	return d, nil
-}
-
-type ibvDevice struct {
-	dev    *ibv.Device
-	sendMu []atomic.Pointer[spin.Mutex]
-	cqMu   spin.Mutex
-	srqMu  spin.Mutex
-}
-
-func (d *ibvDevice) Index() int { return d.dev.Index() }
-
-// sendLock returns dst's wrapper try-lock, allocating it on first use
-// (CAS race: first poster wins, losers adopt the winner's lock).
-func (d *ibvDevice) sendLock(dst int) *spin.Mutex {
-	id := d.dev.SendLockID(dst)
-	if mu := d.sendMu[id].Load(); mu != nil {
+// lock returns the wrapper try-lock for identity id, allocating it on
+// first use (CAS race: first caller wins, losers adopt the winner's lock).
+func (d *Device) lock(id int) *spin.Mutex {
+	if mu := d.locks[id].Load(); mu != nil {
 		return mu
 	}
 	mu := new(spin.Mutex)
-	if d.sendMu[id].CompareAndSwap(nil, mu) {
+	if d.locks[id].CompareAndSwap(nil, mu) {
 		return mu
 	}
-	return d.sendMu[id].Load()
+	return d.locks[id].Load()
 }
 
-func (d *ibvDevice) PostSend(dst, dstDev int, meta uint32, data []byte, ctx any) error {
-	mu := d.sendLock(dst)
-	if !mu.TryLock() {
-		return ErrRetry
-	}
-	err := d.dev.PostSend(dst, dstDev, meta, data, ctx)
-	mu.Unlock()
-	if errors.Is(err, ibv.ErrTxFull) {
+// txFull maps the provider's backpressure error onto ErrTxFull.
+func txFull(err error) error {
+	if err == nic.ErrTxFull {
 		return ErrTxFull
 	}
 	return err
 }
 
-func (d *ibvDevice) PostWrite(dst, notifyDev int, rkey, offset uint64, data []byte, imm uint64, hasImm bool, ctx any) error {
-	mu := d.sendLock(dst)
+// PostSend posts an eager send of data with metadata meta to endpoint
+// dstDev of rank dst.
+func (d *Device) PostSend(dst, dstDev int, meta uint32, data []byte, ctx any) error {
+	mu := d.lock(d.SendLock(dst))
 	if !mu.TryLock() {
 		return ErrRetry
 	}
-	err := d.dev.PostWrite(dst, notifyDev, rkey, offset, data, imm, hasImm, ctx)
+	err := d.Device.PostSend(dst, dstDev, meta, data, ctx)
 	mu.Unlock()
-	if errors.Is(err, ibv.ErrTxFull) {
-		return ErrTxFull
-	}
-	return err
+	return txFull(err)
 }
 
-func (d *ibvDevice) PostRead(dst int, rkey, offset uint64, into []byte, ctx any) error {
-	mu := d.sendLock(dst)
+// PostWrite posts an RMA write, optionally with immediate data notifying
+// endpoint notifyDev of the target rank.
+func (d *Device) PostWrite(dst, notifyDev int, rkey, offset uint64, data []byte, imm uint64, hasImm bool, ctx any) error {
+	mu := d.lock(d.SendLock(dst))
 	if !mu.TryLock() {
 		return ErrRetry
 	}
-	err := d.dev.PostRead(dst, rkey, offset, into, ctx)
+	err := d.Device.PostWrite(dst, notifyDev, rkey, offset, data, imm, hasImm, ctx)
 	mu.Unlock()
-	if errors.Is(err, ibv.ErrTxFull) {
-		return ErrTxFull
-	}
-	return err
+	return txFull(err)
 }
 
-func (d *ibvDevice) PostRecv(buf []byte, ctx any) error {
-	// Posting receives happens on the progress path; a failed try-lock is
-	// retried on the next progress call.
-	if !d.srqMu.TryLock() {
+// PostRead posts an RMA read.
+func (d *Device) PostRead(dst int, rkey, offset uint64, into []byte, ctx any) error {
+	mu := d.lock(d.SendLock(dst))
+	if !mu.TryLock() {
 		return ErrRetry
 	}
-	d.dev.PostSRQRecv(buf, ctx)
-	d.srqMu.Unlock()
+	err := d.Device.PostRead(dst, rkey, offset, into, ctx)
+	mu.Unlock()
+	return txFull(err)
+}
+
+// PostRecv pre-posts a receive buffer. It runs on the progress path; a
+// failed try-lock is retried on the next progress call.
+func (d *Device) PostRecv(buf []byte, ctx any) error {
+	if !d.rx.TryLock() {
+		return ErrRetry
+	}
+	d.Device.PostRecv(buf, ctx)
+	d.rx.Unlock()
 	return nil
 }
 
-func (d *ibvDevice) PollCQ(out []Completion) (int, error) {
-	// No emptiness pre-check here: the provider's PollCQ does its own
-	// CQE-ring peek, and callers that want a lock-free peek use CQEmpty.
-	if !d.cqMu.TryLock() {
+// PollCQ drains up to len(out) completions, returning how many. There is
+// no emptiness pre-check here: the provider's PollCQ does its own CQE-ring
+// peek, and callers that want a lock-free peek use CQEmpty.
+func (d *Device) PollCQ(out []Completion) (int, error) {
+	if !d.cq.TryLock() {
 		return 0, ErrRetry
 	}
-	n := d.dev.PollCQ(out)
-	d.cqMu.Unlock()
+	n := d.Device.PollCQ(out)
+	d.cq.Unlock()
 	return n, nil
 }
-
-func (d *ibvDevice) CQEmpty() bool { return d.dev.CQEmpty() }
-
-func (d *ibvDevice) RegisterMem(buf []byte) (uint64, error) {
-	// No user-space lock in libibverbs registration (§5.2.3).
-	return d.dev.RegisterMem(buf), nil
-}
-
-func (d *ibvDevice) DeregisterMem(rkey uint64) error {
-	d.dev.DeregisterMem(rkey)
-	return nil
-}
-
-func (d *ibvDevice) Stats() fabric.Stats { return d.dev.Endpoint().Stats() }
-
-func (d *ibvDevice) ConnectedPeers() int { return d.dev.ConnectedQPs() }
-
-func (d *ibvDevice) BindDomain(dom int)  { d.dev.BindDomain(dom) }
-func (d *ibvDevice) Domain() int         { return d.dev.Domain() }
-func (d *ibvDevice) CrossDelay(from int) { d.dev.CrossDelay(from) }
-
-func (d *ibvDevice) Close() error {
-	d.dev.Close()
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// libfabric backend with a single per-device try-lock wrapper
-
-type ofiBackend struct{ cfg ofi.Config }
-
-// NewOFI returns the libfabric-simulation backend.
-func NewOFI(cfg ofi.Config) Backend { return &ofiBackend{cfg: cfg} }
-
-func (b *ofiBackend) Name() string { return "ofi" }
-
-func (b *ofiBackend) NewContext(fab *fabric.Fabric, rank int) (Context, error) {
-	return &ofiContext{dom: ofi.NewDomain(fab, rank, b.cfg)}, nil
-}
-
-type ofiContext struct{ dom *ofi.Domain }
-
-func (c *ofiContext) Rank() int     { return c.dom.Rank() }
-func (c *ofiContext) NumRanks() int { return c.dom.NumRanks() }
-func (c *ofiContext) Name() string  { return "ofi" }
-func (c *ofiContext) Close() error  { return nil }
-
-func (c *ofiContext) NewDevice() (Device, error) {
-	return &ofiDevice{ep: c.dom.NewEndpoint()}, nil
-}
-
-// ofiDevice uses one try-lock wrapper for the whole device except memory
-// (de)registration (§5.2.4): the endpoint lock covers everything in the
-// provider, so finer wrappers would not help.
-type ofiDevice struct {
-	ep *ofi.Endpoint
-	mu spin.Mutex
-}
-
-func (d *ofiDevice) Index() int { return d.ep.Index() }
-
-func (d *ofiDevice) PostSend(dst, dstDev int, meta uint32, data []byte, ctx any) error {
-	if !d.mu.TryLock() {
-		return ErrRetry
-	}
-	err := d.ep.PostSend(dst, dstDev, meta, data, ctx)
-	d.mu.Unlock()
-	if errors.Is(err, ofi.ErrTxFull) {
-		return ErrTxFull
-	}
-	return err
-}
-
-func (d *ofiDevice) PostWrite(dst, notifyDev int, rkey, offset uint64, data []byte, imm uint64, hasImm bool, ctx any) error {
-	if !d.mu.TryLock() {
-		return ErrRetry
-	}
-	err := d.ep.PostWrite(dst, notifyDev, rkey, offset, data, imm, hasImm, ctx)
-	d.mu.Unlock()
-	if errors.Is(err, ofi.ErrTxFull) {
-		return ErrTxFull
-	}
-	return err
-}
-
-func (d *ofiDevice) PostRead(dst int, rkey, offset uint64, into []byte, ctx any) error {
-	if !d.mu.TryLock() {
-		return ErrRetry
-	}
-	err := d.ep.PostRead(dst, rkey, offset, into, ctx)
-	d.mu.Unlock()
-	if errors.Is(err, ofi.ErrTxFull) {
-		return ErrTxFull
-	}
-	return err
-}
-
-func (d *ofiDevice) PostRecv(buf []byte, ctx any) error {
-	if !d.mu.TryLock() {
-		return ErrRetry
-	}
-	d.ep.PostRecv(buf, ctx)
-	d.mu.Unlock()
-	return nil
-}
-
-func (d *ofiDevice) PollCQ(out []Completion) (int, error) {
-	if !d.mu.TryLock() {
-		return 0, ErrRetry
-	}
-	n := d.ep.PollCQ(out)
-	d.mu.Unlock()
-	return n, nil
-}
-
-func (d *ofiDevice) CQEmpty() bool { return d.ep.CQEmpty() }
-
-func (d *ofiDevice) RegisterMem(buf []byte) (uint64, error) {
-	// Registration bypasses the wrapper (it must block on the global
-	// registration-cache mutex regardless; there is nothing to mitigate).
-	return d.ep.RegisterMem(buf), nil
-}
-
-func (d *ofiDevice) DeregisterMem(rkey uint64) error {
-	d.ep.DeregisterMem(rkey)
-	return nil
-}
-
-func (d *ofiDevice) Stats() fabric.Stats { return d.ep.FabricEndpoint().Stats() }
-
-func (d *ofiDevice) ConnectedPeers() int { return d.ep.ConnectedPeers() }
-
-func (d *ofiDevice) BindDomain(dom int)  { d.ep.BindDomain(dom) }
-func (d *ofiDevice) Domain() int         { return d.ep.Domain() }
-func (d *ofiDevice) CrossDelay(from int) { d.ep.CrossDelay(from) }
-
-func (d *ofiDevice) Close() error { return nil }

@@ -5,16 +5,20 @@ import (
 	"testing"
 
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/ibv"
-	"lci/internal/netsim/ofi"
+	"lci/internal/netsim/nic"
 	"lci/internal/network"
 )
 
-func backends() map[string]network.Backend {
-	return map[string]network.Backend{
-		"ibv": network.NewIBV(ibv.Config{SendOverheadNs: 1, RecvOverheadNs: 1}),
-		"ofi": network.NewOFI(ofi.Config{SendOverheadNs: 1, RecvOverheadNs: 1, RegCacheNs: 1, RegisterNs: 1}),
+func backends() map[string]nic.Config {
+	return map[string]nic.Config{
+		"ibv": {SendOverheadNs: 1, RecvOverheadNs: 1},
+		"ofi": {Layout: nic.LockEndpoint, SendOverheadNs: 1, RecvOverheadNs: 1, RegCacheNs: 1, RegisterNs: 1},
 	}
+}
+
+// open opens one wrapped device of rank on fab.
+func open(fab *fabric.Fabric, rank int, cfg nic.Config) *network.Device {
+	return network.NewDevice(nic.NewDomain(fab, rank, cfg))
 }
 
 // TestSendRecvRoundTrip exercises the full device surface on both
@@ -23,16 +27,7 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	for name, be := range backends() {
 		t.Run(name, func(t *testing.T) {
 			fab := fabric.New(fabric.Config{NumRanks: 2})
-			ctx0, err := be.NewContext(fab, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx1, err := be.NewContext(fab, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d0, _ := ctx0.NewDevice()
-			d1, _ := ctx1.NewDevice()
+			d0, d1 := open(fab, 0, be), open(fab, 1, be)
 
 			if err := d1.PostRecv(make([]byte, 64), "rx"); err != nil {
 				t.Fatal(err)
@@ -56,12 +51,9 @@ func TestSendRecvRoundTrip(t *testing.T) {
 }
 
 func TestTxFullBackpressure(t *testing.T) {
-	be := network.NewIBV(ibv.Config{TxDepth: 2, SendOverheadNs: 1, RecvOverheadNs: 1})
+	be := nic.Config{TxDepth: 2, SendOverheadNs: 1, RecvOverheadNs: 1}
 	fab := fabric.New(fabric.Config{NumRanks: 2})
-	ctx0, _ := be.NewContext(fab, 0)
-	ctx1, _ := be.NewContext(fab, 1)
-	d0, _ := ctx0.NewDevice()
-	d1, _ := ctx1.NewDevice()
+	d0, d1 := open(fab, 0, be), open(fab, 1, be)
 	for i := 0; i < 8; i++ {
 		d1.PostRecv(make([]byte, 16), nil)
 	}
@@ -87,16 +79,10 @@ func TestRMAThroughWrappers(t *testing.T) {
 	for name, be := range backends() {
 		t.Run(name, func(t *testing.T) {
 			fab := fabric.New(fabric.Config{NumRanks: 2})
-			ctx0, _ := be.NewContext(fab, 0)
-			ctx1, _ := be.NewContext(fab, 1)
-			d0, _ := ctx0.NewDevice()
-			d1, _ := ctx1.NewDevice()
+			d0, d1 := open(fab, 0, be), open(fab, 1, be)
 
 			region := make([]byte, 64)
-			rkey, err := d1.RegisterMem(region)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rkey := d1.RegisterMem(region)
 			if err := d0.PostWrite(1, 0, rkey, 8, []byte("wxyz"), 55, true, "w"); err != nil {
 				t.Fatal(err)
 			}
@@ -114,36 +100,20 @@ func TestRMAThroughWrappers(t *testing.T) {
 			if string(into) != "wxyz" {
 				t.Fatalf("read = %q", into)
 			}
-			if err := d1.DeregisterMem(rkey); err != nil {
-				t.Fatal(err)
+			d1.DeregisterMem(rkey)
+			if err := d0.PostRead(1, rkey, 8, into, "r"); err == nil {
+				t.Fatal("read from deregistered rkey should fail")
 			}
 		})
 	}
 }
 
 func TestDeviceIndexing(t *testing.T) {
-	be := network.NewIBV(ibv.Config{})
+	be := nic.Config{}
 	fab := fabric.New(fabric.Config{NumRanks: 1})
-	ctx, _ := be.NewContext(fab, 0)
-	d0, _ := ctx.NewDevice()
-	d1, _ := ctx.NewDevice()
+	dom := nic.NewDomain(fab, 0, be)
+	d0, d1 := network.NewDevice(dom), network.NewDevice(dom)
 	if d0.Index() != 0 || d1.Index() != 1 {
 		t.Fatalf("indexes %d, %d", d0.Index(), d1.Index())
-	}
-}
-
-func TestThreadDomainStrategies(t *testing.T) {
-	fab := fabric.New(fabric.Config{NumRanks: 4})
-	for _, tc := range []struct {
-		strategy ibv.TDStrategy
-		locks    int
-	}{
-		{ibv.TDPerQP, 4}, {ibv.TDAllQP, 1}, {ibv.TDNone, 4}, // TDNone: min(nUUARs, ranks)
-	} {
-		ctx := ibv.NewContext(fab, 0, ibv.Config{Strategy: tc.strategy})
-		dev := ctx.NewDevice()
-		if got := dev.NumSendLocks(); got != tc.locks {
-			t.Errorf("strategy %v: NumSendLocks = %d, want %d", tc.strategy, got, tc.locks)
-		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 	"lci"
 	"lci/internal/gasnetsim"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 )
 
 // Transport is the application-level RPC substrate shared by the k-mer
@@ -128,10 +128,10 @@ type GASNetTransport struct {
 	sink func(int, []byte)
 }
 
-// NewGASNetTransport builds the transport for one rank.
-func NewGASNetTransport(prov *raw.Provider, rank, n int) *GASNetTransport {
+// NewGASNetTransport builds the transport for the rank of dom.
+func NewGASNetTransport(dom *nic.Domain) *GASNetTransport {
 	t := &GASNetTransport{}
-	t.g = gasnetsim.New(prov, rank, n, gasnetsim.Config{PreRecvs: 512})
+	t.g = gasnetsim.New(dom, gasnetsim.Config{PreRecvs: 512})
 	t.hidx = t.g.RegisterHandler(func(src int, _ uint32, payload []byte) {
 		// The medium-AM buffer is only valid during the handler; the sink
 		// must consume it synchronously (ours does).

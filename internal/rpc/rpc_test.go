@@ -12,7 +12,7 @@ import (
 	"lci"
 	"lci/internal/mpibase"
 	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/raw"
+	"lci/internal/netsim/nic"
 	"lci/internal/rpc"
 )
 
@@ -43,11 +43,7 @@ func buildTransports(t *testing.T, backend string) []rpc.Transport {
 		fab := fabric.New(fabric.Config{NumRanks: ranks})
 		out := make([]rpc.Transport, ranks)
 		for r := 0; r < ranks; r++ {
-			prov, err := raw.Open("ibv", fab, r, lci.SimExpanse().IBV, lci.SimDelta().OFI)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[r] = rpc.NewGASNetTransport(prov, r, ranks)
+			out[r] = rpc.NewGASNetTransport(nic.NewDomain(fab, r, lci.SimExpanse().Provider))
 		}
 		return out
 	case "mpi", "mpix":
@@ -58,11 +54,7 @@ func buildTransports(t *testing.T, backend string) []rpc.Transport {
 		}
 		out := make([]rpc.Transport, ranks)
 		for r := 0; r < ranks; r++ {
-			prov, err := raw.Open("ibv", fab, r, lci.SimExpanse().IBV, lci.SimDelta().OFI)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := mpibase.New(prov, r, ranks, mpibase.Config{
+			m := mpibase.New(nic.NewDomain(fab, r, lci.SimExpanse().Provider), mpibase.Config{
 				NumVCIs: numVCIs, AssertNoAnyTag: false, AssertAllowOvertaking: true,
 			})
 			tr, err := rpc.NewMPITransport(m, nthreads, 4096)

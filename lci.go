@@ -69,7 +69,6 @@ import (
 	"lci/internal/core"
 	"lci/internal/fault"
 	"lci/internal/netsim/fabric"
-	"lci/internal/network"
 	"lci/internal/packet"
 	"lci/internal/topo"
 )
@@ -195,7 +194,6 @@ func NewGraph() *Graph { return comp.NewGraph() }
 // in-process simulation (DESIGN.md §2 lists the substitution).
 type World struct {
 	fab      *fabric.Fabric
-	backend  network.Backend
 	coreCfg  core.Config
 	platform Platform
 	n        int
@@ -233,9 +231,6 @@ func NewWorld(n int, opts ...WorldOption) *World {
 	}
 	if w.telOverride != nil {
 		w.coreCfg.Telemetry = *w.telOverride
-	}
-	if w.backend == nil {
-		w.backend = w.platform.Backend()
 	}
 	w.fab = fabric.New(fabric.Config{
 		NumRanks:   n,
@@ -311,7 +306,7 @@ func (w *World) NewRuntime(rank int) (*Runtime, error) {
 	if rank < 0 || rank >= w.n {
 		return nil, fmt.Errorf("%w: rank %d out of range [0,%d)", ErrInvalidArgument, rank, w.n)
 	}
-	crt, err := core.NewRuntime(w.backend, w.fab, rank, w.coreCfg)
+	crt, err := core.NewRuntime(w.platform.Provider, w.fab, rank, w.coreCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -244,9 +244,8 @@ func TestPutAndPutWithSignal(t *testing.T) {
 			}
 			msg := []byte(fmt.Sprintf("%d", rkey))
 			for {
-				// The deprecated five-positional wrapper still works for one
-				// release; rcomp handle 1 on the peer is rkeyCQ.
-				st, err := rt.PostAMTagged(peer, msg, 0, 1, nil)
+				// rcomp handle 1 on the peer is rkeyCQ.
+				st, err := rt.PostAM(peer, msg, 1, lci.WithTag(0))
 				if err != nil {
 					return err
 				}

@@ -187,16 +187,6 @@ func (rt *Runtime) PostAM(rank int, buf []byte, rcomp RComp, opts ...Option) (St
 	return rt.core.PostAM(rank, buf, o.Tag, o.LocalComp, o)
 }
 
-// PostAMTagged is the previous five-positional-parameter form of PostAM.
-//
-// Deprecated: use PostAM(rank, buf, rcomp, ...) with WithTag and
-// WithLocalComp; this wrapper exists for one release to ease migration.
-func (rt *Runtime) PostAMTagged(rank int, buf []byte, tag int, rcomp RComp, comp Comp, opts ...Option) (Status, error) {
-	o := buildOpts(opts)
-	o.RComp = rcomp
-	return rt.core.PostAM(rank, buf, tag, comp, o)
-}
-
 // PostPut writes buf into the remote registered buffer (rkey, offset).
 // Add WithRemoteComp for put-with-signal.
 func (rt *Runtime) PostPut(rank int, buf []byte, tag int, rkey, offset uint64, comp Comp, opts ...Option) (Status, error) {

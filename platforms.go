@@ -1,9 +1,7 @@
 package lci
 
 import (
-	"lci/internal/netsim/ibv"
-	"lci/internal/netsim/ofi"
-	"lci/internal/network"
+	"lci/internal/netsim/nic"
 	"lci/internal/topo"
 )
 
@@ -16,12 +14,9 @@ type Platform struct {
 	Name string
 	// NIC and Network describe what is being simulated.
 	NIC, Network string
-	// Provider is "ibv" or "ofi".
-	Provider string
-	// IBV holds the provider parameters when Provider == "ibv".
-	IBV ibv.Config
-	// OFI holds the provider parameters when Provider == "ofi".
-	OFI ofi.Config
+	// Provider holds the simulated provider's lock layout and cost model;
+	// Provider.Layout.Provider() names its family ("ibv" or "ofi").
+	Provider nic.Config
 	// PendingCap bounds per-endpoint RNR buffering on the fabric.
 	PendingCap int
 	// NodeTopo is the platform's synthetic host topology (NUMA domains,
@@ -35,31 +30,22 @@ type Platform struct {
 // Topology returns the platform's synthetic node topology (see NodeTopo).
 func (p Platform) Topology() *topo.Topology { return p.NodeTopo }
 
-// Backend builds the network backend for this platform.
-func (p Platform) Backend() network.Backend {
-	if p.Provider == "ofi" {
-		return network.NewOFI(p.OFI)
-	}
-	return network.NewIBV(p.IBV)
-}
-
 // SimExpanse models SDSC Expanse: Mellanox ConnectX-6 HDR InfiniBand via
 // libibverbs (mlx5). Fine-grained provider locks (per QP/CQ/SRQ, thread
 // domains) let replicated LCI devices scale.
 func SimExpanse() Platform {
 	return Platform{
-		Name:     "SimExpanse",
-		NIC:      "sim-ConnectX-6",
-		Network:  "sim-HDR-InfiniBand(2x50Gbps)",
-		Provider: "ibv",
-		IBV: ibv.Config{
+		Name:    "SimExpanse",
+		NIC:     "sim-ConnectX-6",
+		Network: "sim-HDR-InfiniBand(2x50Gbps)",
+		Provider: nic.Config{
+			Layout:         nic.LockPerQP,
 			TxDepth:        256,
 			SendOverheadNs: 150,
 			RecvOverheadNs: 100,
 			InjectGapNs:    8000,
 			CrossDomainNs:  1200,
 			ConnectSetupNs: 25000,
-			Strategy:       ibv.TDPerQP,
 		},
 		PendingCap: 1024,
 		NodeTopo:   topo.SimExpanse(),
@@ -71,11 +57,11 @@ func SimExpanse() Platform {
 // mutex consulted on every operation cap multithreaded scaling (§5.2.4).
 func SimDelta() Platform {
 	return Platform{
-		Name:     "SimDelta",
-		NIC:      "sim-Cassini",
-		Network:  "sim-Slingshot-11(200Gbps)",
-		Provider: "ofi",
-		OFI: ofi.Config{
+		Name:    "SimDelta",
+		NIC:     "sim-Cassini",
+		Network: "sim-Slingshot-11(200Gbps)",
+		Provider: nic.Config{
+			Layout:         nic.LockEndpoint,
 			TxDepth:        256,
 			SendOverheadNs: 200,
 			RecvOverheadNs: 120,
