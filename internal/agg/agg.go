@@ -15,8 +15,8 @@
 //
 // A buffer seals when the next record does not fit (size flush), when its
 // first record has aged FlushAge poll epochs (age flush, driven by the
-// cheap epoch counter Poll advances — no per-buffer goroutines or
-// timers), or on an explicit FlushDest/Flush. Sealed buffers are posted
+// cheap per-column epoch counter Poll advances — no per-buffer goroutines
+// or timers), or on an explicit FlushDest/Flush. Sealed buffers are posted
 // as one PostAM; a post the network refuses (network.ErrTxFull surfacing
 // as a Retry status) parks the buffer on the shard's pending list, which
 // Poll and Flush retry. The buffer itself is the post's completion
@@ -41,6 +41,13 @@
 // (DESIGN.md §3). Flush-path costs are amortized away by aggregation
 // itself; the append path is where misplaced buffers hurt, so that is
 // where the model charges.
+//
+// Accounting. The telemetry counts (appends, busy refusals, seals by
+// reason, parks) and the dropped-record tally live on each shard as plain
+// integers, bumped under the shard lock the path already holds; the
+// reader the aggregator registers with telemetry sums them under the same
+// locks. Append and Poll therefore write no memory shared across columns
+// beyond the shards and the column they act on.
 package agg
 
 import (
@@ -110,8 +117,9 @@ type Config struct {
 	BufsPerDest int
 	// FlushAge is the age flush threshold in poll epochs: a non-empty
 	// buffer whose first record is FlushAge epochs old is sealed by the
-	// next Poll (default 64). Epochs advance once per Poll call on any
-	// thread, so the unit is "aggregate polls across the rank" — a cheap
+	// next Poll (default 64). Each device column keeps its own epoch,
+	// advanced once per Poll through that column, so the unit is "polls
+	// of this buffer's column" — the column Poll acts on, and a cheap
 	// monotone proxy for time that costs the hot path nothing.
 	FlushAge int
 	// Homing selects buffer homing (default HomeDevice).
@@ -181,11 +189,16 @@ type shard struct {
 	cur   *buffer   // being filled, nil when none
 	free  []*buffer // recycled, ready to fill
 	pend  []*buffer // sealed but refused by the network; Poll retries
-	birth uint64    // epoch when cur received its first record
+	birth uint64    // column epoch when cur received its first record
 	ag    *Aggregator
 	dev   *core.Device
 	dest  int
-	_     spin.Pad
+	// n counts this shard's appends, busy refusals, seals by reason and
+	// parks (QueuedBytes unused; the reader computes it), and dropped the
+	// records lost to undeliverable batches. Both are guarded by mu.
+	n       telemetry.AggSnap
+	dropped int64
+	_       spin.Pad
 }
 
 // column is one device's row of shards (one per contacted destination)
@@ -193,10 +206,15 @@ type shard struct {
 // BufsPerDest×BufBytes of buffer memory — materialize on the first append
 // toward a destination, so a rank that talks to 8 of 256 peers allocates
 // 8 shards per column, not 256; only the pointer-slot index is O(ranks).
+// The column's age epoch is its own, padded away from other columns, so
+// a Poll writes only the line of the column it acts on.
 type column struct {
+	_      spin.Pad
+	epoch  atomic.Uint64 // advanced once per Poll through this column
 	dev    *core.Device
 	home   int // NUMA domain the column's buffers are homed on
 	shards []atomic.Pointer[shard]
+	_      spin.Pad
 }
 
 // shard returns dest's shard, allocating it (and its buffers) on first
@@ -237,17 +255,16 @@ type Aggregator struct {
 	sink  Sink
 	rcomp base.RComp
 	cols  []*column
-	epoch atomic.Uint64
 	tel   *telemetry.Telemetry
-	tc    *telemetry.AggCounters
-	// dropped counts records lost to undeliverable batches (dest died,
-	// runtime closed); see Config.OnError.
-	dropped atomic.Int64
 }
 
 // DroppedRecords reports how many coalesced records were dropped because
-// their batch became undeliverable (destination died, runtime closed).
-func (ag *Aggregator) DroppedRecords() int64 { return ag.dropped.Load() }
+// their batch became undeliverable (destination died, runtime closed);
+// see Config.OnError.
+func (ag *Aggregator) DroppedRecords() int64 {
+	_, dropped := ag.sum()
+	return dropped
+}
 
 // New builds an aggregator over rt's current device pool (one shard
 // column per pool device; shards materialize per destination on first
@@ -259,8 +276,10 @@ func New(rt *core.Runtime, sink Sink, cfg Config) *Aggregator {
 	}
 	cfg = cfg.withDefaults(rt)
 	ag := &Aggregator{rt: rt, cfg: cfg, sink: sink, tel: rt.Telemetry()}
-	ag.tc = ag.tel.Agg()
-	ag.tel.RegisterGauge("agg_queued_bytes", func() int64 { return int64(ag.QueuedBytes()) })
+	ag.tel.RegisterAgg(func() telemetry.AggSnap {
+		s, _ := ag.sum()
+		return s
+	})
 	ag.rcomp = rt.RegisterHandler(ag.scatter)
 	t := rt.Config().Topology
 	ag.cols = make([]*column, rt.NumDevices())
@@ -335,22 +354,23 @@ func (ag *Aggregator) Append(t *Thread, dest int, rec []byte) error {
 		// cross-domain transfer per cache line the record dirties.
 		spin.Delay(t.penPerLine * (1 + (flen-1)/spin.CacheLineSize))
 	}
+	counting := ag.tel.Counting()
 	var sealed, sealed2 *buffer
 	sh.mu.Lock()
 	b := sh.cur
 	if b != nil && len(b.data)+flen > cap(b.data) {
 		sealed, b, sh.cur = b, nil, nil // size flush: post after unlocking
+		if counting {
+			sh.n.FlushSize++
+		}
 	}
 	if b == nil {
 		n := len(sh.free)
 		if n == 0 {
-			sh.mu.Unlock()
-			if ag.tel.Counting() {
-				ag.tc.Busy.Add(1)
-				if sealed != nil {
-					ag.tc.FlushSize.Add(1)
-				}
+			if counting {
+				sh.n.Busy++
 			}
+			sh.mu.Unlock()
 			if sealed != nil {
 				sh.post(sealed, t)
 			}
@@ -361,7 +381,7 @@ func (ag *Aggregator) Append(t *Thread, dest int, rec []byte) error {
 		sh.cur = b
 	}
 	if len(b.data) == 0 {
-		sh.birth = ag.epoch.Load()
+		sh.birth = t.col.epoch.Load()
 	}
 	off := len(b.data)
 	b.data = b.data[:off+flen]
@@ -371,16 +391,13 @@ func (ag *Aggregator) Append(t *Thread, dest int, rec []byte) error {
 	if cap(b.data)-len(b.data) < frameOverhead {
 		sealed2, sh.cur = b, nil // exactly full: not even an empty record fits
 	}
-	sh.mu.Unlock()
-	if ag.tel.Counting() {
-		ag.tc.Appends.Add(1)
-		if sealed != nil {
-			ag.tc.FlushSize.Add(1)
-		}
+	if counting {
+		sh.n.Appends++
 		if sealed2 != nil {
-			ag.tc.FlushSize.Add(1)
+			sh.n.FlushSize++
 		}
 	}
+	sh.mu.Unlock()
 	if sealed != nil {
 		sh.post(sealed, t)
 	}
@@ -428,11 +445,12 @@ func (sh *shard) post(b *buffer, t *Thread) {
 	}
 	switch {
 	case st.IsRetry():
-		if sh.ag.tel.Counting() {
-			sh.ag.tc.Parks.Add(1)
-		}
+		counting := sh.ag.tel.Counting()
 		sh.mu.Lock()
 		sh.pend = append(sh.pend, b)
+		if counting {
+			sh.n.Parks++
+		}
 		sh.mu.Unlock()
 	case st.IsDone():
 		sh.recycle(b)
@@ -445,7 +463,9 @@ func (sh *shard) post(b *buffer, t *Thread) {
 // stays intact.
 func (sh *shard) fail(b *buffer, err error) {
 	recs := b.recs
-	sh.ag.dropped.Add(int64(recs))
+	sh.mu.Lock()
+	sh.dropped += int64(recs)
+	sh.mu.Unlock()
 	if fn := sh.ag.cfg.OnError; fn != nil {
 		fn(sh.dest, recs, err)
 	}
@@ -462,60 +482,44 @@ func (sh *shard) recycle(b *buffer) {
 	sh.mu.Unlock()
 }
 
-// seal detaches the shard's current buffer for posting (nil when empty).
-func (sh *shard) seal() *buffer {
+// flush posts the shard's parked buffers (retrying what the network
+// refused) and then its current buffer when that is non-empty and its
+// first record is at least minAge epochs old at epoch now, counting the
+// seal into reason (&sh.n.FlushAge or &sh.n.FlushExplicit). minAge 0
+// seals any non-empty buffer. One lock acquisition takes both, so a Poll
+// pays one per contacted destination.
+func (sh *shard) flush(t *Thread, now, minAge uint64, reason *int64) {
+	counting := sh.ag.tel.Counting()
+	var sealed *buffer
 	sh.mu.Lock()
-	b := sh.cur
-	if b != nil && len(b.data) == 0 {
-		b = nil // nothing queued: leave the empty buffer current
-	} else {
-		sh.cur = nil
+	if b := sh.cur; b != nil && len(b.data) > 0 && now-sh.birth >= minAge {
+		sealed, sh.cur = b, nil
+		if counting {
+			*reason++
+		}
 	}
-	sh.mu.Unlock()
-	return b
-}
-
-// takePending detaches the shard's pending list for a retry round.
-func (sh *shard) takePending() []*buffer {
-	sh.mu.Lock()
-	p := sh.pend
+	pend := sh.pend
 	sh.pend = nil
 	sh.mu.Unlock()
-	return p
+	for _, b := range pend {
+		sh.post(b, t) // may re-park; that's the next round's problem
+	}
+	if sealed != nil {
+		sh.post(sealed, t)
+	}
 }
 
-// retryPending re-posts every parked buffer of the thread's column once.
-func (ag *Aggregator) retryPending(t *Thread, col *column) {
-	col.each(func(sh *shard) {
-		for _, b := range sh.takePending() {
-			sh.post(b, t) // may re-park; that's the next round's problem
-		}
-	})
-}
-
-// Poll is the aggregator's progress call: it advances the age epoch,
-// seals buffers whose first record is FlushAge epochs old, retries
-// buffers the network refused, and progresses the thread's device
-// (returning its completion count — TxDone completions here are what
-// recycle in-flight buffers). Producers and servers alike should call it
-// regularly; AppendWait calls it under backpressure.
+// Poll is the aggregator's progress call: it advances the age epoch of
+// the thread's column, seals that column's buffers whose first record is
+// FlushAge epochs old, retries buffers the network refused, and
+// progresses the thread's device (returning its completion count —
+// TxDone completions here are what recycle in-flight buffers). Producers
+// and servers alike should call it regularly; AppendWait calls it under
+// backpressure.
 func (ag *Aggregator) Poll(t *Thread) int {
-	e := ag.epoch.Add(1)
+	e := t.col.epoch.Add(1)
 	age := uint64(ag.cfg.FlushAge)
-	t.col.each(func(sh *shard) {
-		sh.mu.Lock()
-		aged := sh.cur != nil && len(sh.cur.data) > 0 && e-sh.birth >= age
-		sh.mu.Unlock()
-		if aged {
-			if b := sh.seal(); b != nil {
-				if ag.tel.Counting() {
-					ag.tc.FlushAge.Add(1)
-				}
-				sh.post(b, t)
-			}
-		}
-	})
-	ag.retryPending(t, t.col)
+	t.col.each(func(sh *shard) { sh.flush(t, e, age, &sh.n.FlushAge) })
 	return t.col.dev.ProgressW(t.w)
 }
 
@@ -523,18 +527,8 @@ func (ag *Aggregator) Poll(t *Thread) int {
 // device and retries anything the network previously refused. It does not
 // wait for acceptance or delivery; use Flush for a draining barrier.
 func (ag *Aggregator) FlushDest(t *Thread, dest int) {
-	sh := t.col.shards[dest].Load()
-	if sh == nil {
-		return // never appended toward dest: nothing queued
-	}
-	if b := sh.seal(); b != nil {
-		if ag.tel.Counting() {
-			ag.tc.FlushExplicit.Add(1)
-		}
-		sh.post(b, t)
-	}
-	for _, b := range sh.takePending() {
-		sh.post(b, t)
+	if sh := t.col.shards[dest].Load(); sh != nil { // nil: never appended toward dest
+		sh.flush(t, 0, 0, &sh.n.FlushExplicit)
 	}
 }
 
@@ -543,25 +537,20 @@ func (ag *Aggregator) FlushDest(t *Thread, dest int) {
 // accepted by the network and recycled by its transmit completion: on
 // return no aggregated bytes remain queued or in flight at this rank.
 // Call it with producers quiescent (end of phase, before shutdown);
-// records a concurrent producer appends during the call may be left
-// queued. Cross-column posts use the calling thread's worker, which is
-// safe — posting on any device from any thread is — but pays the
-// cross-domain cost when columns live on other domains; flushing is the
-// amortized path, so that is the right trade.
+// records a concurrent producer appends during the call are sealed by
+// the next round of the drain loop. Cross-column posts use the calling
+// thread's worker, which is safe — posting on any device from any thread
+// is — but pays the cross-domain cost when columns live on other domains;
+// flushing is the amortized path, so that is the right trade.
 func (ag *Aggregator) Flush(t *Thread) {
-	for _, col := range ag.cols {
-		col.each(func(sh *shard) {
-			if b := sh.seal(); b != nil {
-				if ag.tel.Counting() {
-					ag.tc.FlushExplicit.Add(1)
-				}
-				sh.post(b, t)
-			}
-		})
-	}
-	for !ag.idle(t) {
+	for {
 		for _, col := range ag.cols {
-			ag.retryPending(t, col)
+			col.each(func(sh *shard) { sh.flush(t, 0, 0, &sh.n.FlushExplicit) })
+		}
+		if ag.idle(t) {
+			return
+		}
+		for _, col := range ag.cols {
 			col.dev.ProgressW(t.w)
 		}
 	}
@@ -596,23 +585,32 @@ func (ag *Aggregator) idle(t *Thread) bool {
 // buffers. In-flight (posted) buffers are the network's, not queued. The
 // value is a racy snapshot for diagnostics and the backpressure gate; by
 // construction it never exceeds shards x BufsPerDest x BufBytes. The same
-// reading is published as the agg_queued_bytes gauge (plus the agg flush
-// counters) in Runtime.Telemetry().Snapshot().
+// reading is published as Agg.QueuedBytes (beside the agg counts) in
+// Runtime.Telemetry().Snapshot().
 func (ag *Aggregator) QueuedBytes() int {
-	total := 0
+	s, _ := ag.sum()
+	return int(s.QueuedBytes)
+}
+
+// sum adds up every shard's counts, queued bytes and dropped records,
+// each shard read under its lock (the telemetry reader, QueuedBytes and
+// DroppedRecords all read through it).
+func (ag *Aggregator) sum() (s telemetry.AggSnap, dropped int64) {
 	for _, col := range ag.cols {
 		col.each(func(sh *shard) {
 			sh.mu.Lock()
+			s = s.Add(sh.n)
 			if sh.cur != nil {
-				total += len(sh.cur.data)
+				s.QueuedBytes += int64(len(sh.cur.data))
 			}
 			for _, b := range sh.pend {
-				total += len(b.data)
+				s.QueuedBytes += int64(len(b.data))
 			}
+			dropped += sh.dropped
 			sh.mu.Unlock()
 		})
 	}
-	return total
+	return s, dropped
 }
 
 // scatter is the receive side: one delivered batch fans out into one sink

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lci/internal/agg"
 	"lci/internal/core"
@@ -128,25 +129,129 @@ func TestAggSizeFlush(t *testing.T) {
 }
 
 // TestAggAgeFlush: a lone record must be sealed by the poll-driven age
-// timer, with no size trigger and no explicit Flush.
+// timer, with no size trigger and no explicit Flush. The age epoch
+// belongs to the buffer's device column: polls through another column
+// never age it, and FlushAge polls through its own column seal it — not
+// one poll sooner.
 func TestAggAgeFlush(t *testing.T) {
+	const age = 8
 	rts := newRuntimes(t, 2, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
-		core.Config{PacketsPerWorker: 16, PreRecvs: 8})
+		core.Config{NumDevices: 2, PacketsPerWorker: 16, PreRecvs: 8})
 	var got recSink
-	cfg := agg.Config{BufBytes: 4096, FlushAge: 8}
+	cfg := agg.Config{BufBytes: 4096, FlushAge: age}
 	ag0 := agg.New(rts[0], func(int, []byte) {}, cfg)
 	agg.New(rts[1], got.sink, cfg)
 
-	th := ag0.ThreadOn(0)
-	if err := ag0.AppendWait(th, 1, []byte("straggler")); err != nil {
+	own, other := ag0.ThreadOn(0), ag0.ThreadOn(1)
+	if err := ag0.Append(own, 1, []byte("straggler")); err != nil {
 		t.Fatal(err)
 	}
+	sealedByAge := func() int64 { return rts[0].Telemetry().Snapshot().Agg.FlushAge }
+	for i := 0; i < 4*age; i++ {
+		ag0.Poll(other)
+	}
+	if n := sealedByAge(); n != 0 || ag0.QueuedBytes() == 0 {
+		t.Fatalf("polls of another column sealed the buffer (age seals %d, queued %d)", n, ag0.QueuedBytes())
+	}
+	for i := 1; i < age; i++ {
+		ag0.Poll(own)
+	}
+	if n := sealedByAge(); n != 0 {
+		t.Fatalf("buffer sealed after %d polls of its column, want %d", age-1, age)
+	}
+	ag0.Poll(own)
+	if n := sealedByAge(); n != 1 {
+		t.Fatalf("age seals after %d polls of the buffer's column = %d, want 1", age, n)
+	}
 	for i := 0; i < 100_000 && got.n.Load() == 0; i++ {
-		ag0.Poll(th)
+		ag0.Poll(own)
 		rts[1].ProgressAll()
 	}
 	if got.n.Load() != 1 {
-		t.Fatal("age flush never posted the straggler")
+		t.Fatal("the age-sealed straggler was never delivered")
+	}
+}
+
+// TestAggCountsExact: the shard-owned counts add up exactly. Producers
+// append through two columns of their own and a third column they share;
+// afterwards Appends equals the records accepted, the seals by reason sum
+// to the batches the receiver's handler fired, and the snapshot's queued
+// bytes match QueuedBytes while records are queued.
+func TestAggCountsExact(t *testing.T) {
+	const producers, perProducer, recBytes = 4, 500, 16
+	rts := newRuntimes(t, 2, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1},
+		core.Config{NumDevices: 3, PacketsPerWorker: 64, PreRecvs: 16})
+	var got recSink
+	cfg := agg.Config{BufBytes: 512, FlushAge: 4}
+	ag0 := agg.New(rts[0], func(int, []byte) {}, cfg)
+	agg.New(rts[1], got.sink, cfg)
+
+	var done atomic.Bool
+	serverDone := make(chan struct{})
+	go func() {
+		defer close(serverDone)
+		for !done.Load() {
+			rts[1].ProgressAll()
+		}
+	}()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			th := ag0.ThreadOn(min(p, 2)) // producers 2 and 3 share column 2
+			rec := make([]byte, recBytes)
+			for i := 0; i < perProducer; i++ {
+				rec[0], rec[1] = byte(p), byte(i)
+				if err := ag0.AppendWait(th, 1, rec); err != nil {
+					panic(err)
+				}
+				// Column 0 never polls (its buffers seal by size), column 1
+				// polls every other append (FlushAge 4: its buffers seal by
+				// age long before they fill), the shared column mixes both.
+				if p == 1 && i%2 == 1 || p >= 2 && i%8 == 7 {
+					ag0.Poll(th)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	th := ag0.ThreadOn(0)
+	ag0.Flush(th)
+	const extra = 5
+	for i := 0; i < extra; i++ {
+		if err := ag0.Append(th, 1, make([]byte, recBytes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, snapQ := ag0.QueuedBytes(), rts[0].Telemetry().Snapshot().Agg.QueuedBytes
+	if want := extra * (agg.FrameOverhead + recBytes); q != want || snapQ != int64(q) {
+		t.Fatalf("queued bytes: QueuedBytes %d, snapshot %d, want %d", q, snapQ, want)
+	}
+	ag0.Flush(th)
+	accepted := int64(producers*perProducer + extra)
+	for deadline := time.Now().Add(10 * time.Second); got.n.Load() < accepted && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	done.Store(true)
+	<-serverDone
+	if got.n.Load() != accepted {
+		t.Fatalf("delivered %d of %d records", got.n.Load(), accepted)
+	}
+	s := rts[0].Telemetry().Snapshot().Agg
+	if s.Appends != accepted {
+		t.Fatalf("Appends = %d, want %d accepted records", s.Appends, accepted)
+	}
+	batches := rts[1].Telemetry().Snapshot().Total().AMFires
+	if seals := s.FlushSize + s.FlushAge + s.FlushExplicit; seals != batches {
+		t.Fatalf("seals size %d + age %d + explicit %d = %d, receiver fired %d batches",
+			s.FlushSize, s.FlushAge, s.FlushExplicit, seals, batches)
+	}
+	if s.QueuedBytes != 0 {
+		t.Fatalf("snapshot queued bytes after Flush = %d", s.QueuedBytes)
+	}
+	if s.FlushSize == 0 || s.FlushAge == 0 || s.FlushExplicit == 0 {
+		t.Fatalf("want seals of every reason, got %+v", s)
 	}
 }
 

@@ -89,6 +89,9 @@ func (t *MPITransport) Rank() int                    { return t.m.Rank() }
 func (t *MPITransport) NumRanks() int                { return t.m.NumRanks() }
 func (t *MPITransport) SetSink(fn func(int, []byte)) { t.sink = fn }
 
+// maxPayload is the largest Send payload: the pre-posted receive size.
+func (t *MPITransport) maxPayload() int { return t.maxMsg }
+
 func (t *MPITransport) comm(tid int) int { return tid % maxComm(t.m, t.nthreads) }
 
 // Send transmits payload to dst. MPI has no retry status; injection

@@ -99,7 +99,8 @@ func (t *LCITransport) FlushRecords(tid int) { t.agg.Flush(t.ths[tid]) }
 // injection), so one buffer per destination already bounds
 // queued-but-unsent bytes at contactedPeers*bufBytes per rank — buffers
 // allocate on the first record toward a destination, so a sparse job on
-// a large world never pays NumRanks*bufBytes.
+// a large world never pays NumRanks*bufBytes. A batch never exceeds the
+// transport's largest payload: bufBytes is clamped to it.
 type coalescer struct {
 	tr       Transport
 	bufBytes int
@@ -113,6 +114,9 @@ type coalShard struct {
 }
 
 func newCoalescer(tr Transport, bufBytes int, recSink, rawSink func(int, []byte)) *coalescer {
+	if m, ok := tr.(interface{ maxPayload() int }); ok {
+		bufBytes = min(bufBytes, m.maxPayload())
+	}
 	c := &coalescer{tr: tr, bufBytes: bufBytes, shards: make([]coalShard, tr.NumRanks())}
 	tr.SetSink(func(src int, payload []byte) {
 		if len(payload) > 0 && payload[0] == recordMagic {

@@ -149,3 +149,6 @@ func (t *GASNetTransport) Send(dst int, payload []byte, tid int) {
 }
 
 func (t *GASNetTransport) Serve(int) int { return t.g.Poll() }
+
+// maxPayload is the largest Send payload: one medium AM.
+func (t *GASNetTransport) maxPayload() int { return t.g.MaxMedium() }

@@ -14,14 +14,19 @@
 //     computing anything).
 //  2. Enabled-counters cost: one uncontended atomic add on memory owned
 //     by the bumping thread's device (counters are per-device and the
-//     struct is padded at both ends, so devices never false-share).
+//     struct is padded at both ends, so devices never false-share) — or,
+//     where the path already serializes on a lock, a plain add under it
+//     (the aggregator's per-shard counts, summed by the reader each
+//     aggregator registers). No layer bumps a counter every producer
+//     thread of the rank shares.
 //  3. Snapshot consistency: Snapshot reads every counter with an
-//     individual atomic load. Each counter value is exact at its read
-//     point, but counters are NOT read at one instant — the snapshot is
-//     per-counter consistent, not globally consistent. Derived sums
-//     (e.g. total posts vs. total completions) can therefore be off by
-//     the handful of operations in flight during the read; diffing two
-//     snapshots over a quiesced interval is exact.
+//     individual atomic load (or under the lock that guards it). Each
+//     counter value is exact at its read point, but counters are NOT
+//     read at one instant — the snapshot is per-counter consistent, not
+//     globally consistent. Derived sums (e.g. total posts vs. total
+//     completions) can therefore be off by the handful of operations in
+//     flight during the read; diffing two snapshots over a quiesced
+//     interval is exact.
 //
 // Dependency rule: this package sits at the bottom of the runtime —
 // it imports only spin — so core, packet, and agg can all hold telemetry
@@ -31,7 +36,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -323,39 +327,31 @@ func (a DeviceCountersSnap) add(b DeviceCountersSnap) DeviceCountersSnap {
 	}
 }
 
-// AggCounters is the aggregation layer's counter block (one per runtime;
-// the aggregator's shards all bump it, which is fine — flushes are the
-// amortized path, orders of magnitude rarer than appends).
-type AggCounters struct {
-	_             spin.Pad
-	Appends       atomic.Int64 // records coalesced into buffers
-	FlushSize     atomic.Int64 // buffers sealed because they filled
-	FlushAge      atomic.Int64 // buffers sealed by the poll-epoch age trigger
-	FlushExplicit atomic.Int64 // buffers sealed by FlushDest/Flush
-	Busy          atomic.Int64 // appends refused with ErrBusy (backpressure)
-	Parks         atomic.Int64 // sealed buffers parked on a pending list (network said no)
-	_             spin.Pad
-}
-
-// AggSnap is AggCounters with every field loaded.
+// AggSnap is the aggregation layer's counts, summed over every registered
+// aggregator. The counts live on the aggregators' (destination, device)
+// shards, bumped under the shard lock the path already holds, and each
+// aggregator's reader sums them under the same locks (see RegisterAgg).
 type AggSnap struct {
-	Appends       int64 `json:"appends"`
-	FlushSize     int64 `json:"flush_size"`
-	FlushAge      int64 `json:"flush_age"`
-	FlushExplicit int64 `json:"flush_explicit"`
-	Busy          int64 `json:"busy"`
-	Parks         int64 `json:"parks"`
-	QueuedBytes   int64 `json:"queued_bytes"` // gauge: current, not cumulative
+	Appends       int64 `json:"appends"`        // records coalesced into buffers
+	FlushSize     int64 `json:"flush_size"`     // buffers sealed because they filled
+	FlushAge      int64 `json:"flush_age"`      // buffers sealed by the poll-epoch age trigger
+	FlushExplicit int64 `json:"flush_explicit"` // buffers sealed by FlushDest/Flush
+	Busy          int64 `json:"busy"`           // appends refused with ErrBusy (backpressure)
+	Parks         int64 `json:"parks"`          // sealed buffers parked on a pending list (network said no)
+	QueuedBytes   int64 `json:"queued_bytes"`   // gauge: current, not cumulative
 }
 
-func (c *AggCounters) snap() AggSnap {
+// Add returns the field-wise sum a + b (the gauge sums too: two
+// aggregators report their combined queue).
+func (a AggSnap) Add(b AggSnap) AggSnap {
 	return AggSnap{
-		Appends:       c.Appends.Load(),
-		FlushSize:     c.FlushSize.Load(),
-		FlushAge:      c.FlushAge.Load(),
-		FlushExplicit: c.FlushExplicit.Load(),
-		Busy:          c.Busy.Load(),
-		Parks:         c.Parks.Load(),
+		Appends:       a.Appends + b.Appends,
+		FlushSize:     a.FlushSize + b.FlushSize,
+		FlushAge:      a.FlushAge + b.FlushAge,
+		FlushExplicit: a.FlushExplicit + b.FlushExplicit,
+		Busy:          a.Busy + b.Busy,
+		Parks:         a.Parks + b.Parks,
+		QueuedBytes:   a.QueuedBytes + b.QueuedBytes,
 	}
 }
 
@@ -439,12 +435,11 @@ type DeviceSnap struct {
 // set is not globally instantaneous. It marshals directly to JSON, so an
 // expvar.Func(func() any { return tel.Snapshot() }) publishes it as-is.
 type Snapshot struct {
-	Devices     []DeviceSnap     `json:"devices"`
-	Pool        PoolSnap         `json:"pool"`
-	Agg         AggSnap          `json:"agg"`
-	PostLatency HistSnap         `json:"post_latency_ns"`
-	AMRoundTrip HistSnap         `json:"am_roundtrip_ns"`
-	Gauges      map[string]int64 `json:"gauges,omitempty"`
+	Devices     []DeviceSnap `json:"devices"`
+	Pool        PoolSnap     `json:"pool"`
+	Agg         AggSnap      `json:"agg"`
+	PostLatency HistSnap     `json:"post_latency_ns"`
+	AMRoundTrip HistSnap     `json:"am_roundtrip_ns"`
 }
 
 // Sub returns the per-interval difference s - prev for all cumulative
@@ -488,32 +483,26 @@ func (s Snapshot) Empty() bool {
 }
 
 // Telemetry is a runtime's observability root: the enable flags, the
-// registered per-device counter blocks and probes, the shared layer
-// counters, the latency histograms, and the trace ring set.
+// registered per-device counter blocks and probes, the pool and
+// aggregator readers, the latency histograms, and the trace ring set.
 type Telemetry struct {
 	Flags
 
 	hPost Hist // post -> completion-fire latency
 	hAM   Hist // AM round-trip latency (rendezvous-AM completion cycle)
 
-	agg   AggCounters
 	trace *Trace
 
-	mu     sync.Mutex
-	devs   []*devEntry
-	pool   func() PoolSnap
-	gauges []gauge
+	mu   sync.Mutex
+	devs []*devEntry
+	pool func() PoolSnap
+	aggs []func() AggSnap
 }
 
 type devEntry struct {
 	index    int
 	counters *DeviceCounters
 	probe    DeviceProbe
-}
-
-type gauge struct {
-	name string
-	fn   func() int64
 }
 
 // New builds a Telemetry root with cfg's initial flags.
@@ -543,16 +532,14 @@ func (t *Telemetry) RegisterPool(fn func() PoolSnap) {
 	t.mu.Unlock()
 }
 
-// RegisterGauge attaches a named point-in-time reading evaluated at
-// snapshot time (e.g. the aggregator's queued bytes).
-func (t *Telemetry) RegisterGauge(name string, fn func() int64) {
+// RegisterAgg attaches an aggregator's reader, which sums its shards'
+// counts (and queued bytes) at snapshot time; Snapshot.Agg is the sum
+// over every registered aggregator.
+func (t *Telemetry) RegisterAgg(fn func() AggSnap) {
 	t.mu.Lock()
-	t.gauges = append(t.gauges, gauge{name: name, fn: fn})
+	t.aggs = append(t.aggs, fn)
 	t.mu.Unlock()
 }
-
-// Agg returns the aggregation layer's counter block.
-func (t *Telemetry) Agg() *AggCounters { return &t.agg }
 
 // PostLatency returns the post→completion-fire histogram.
 func (t *Telemetry) PostLatency() *Hist { return &t.hPost }
@@ -570,13 +557,11 @@ func (t *Telemetry) Snapshot() Snapshot {
 	devs := make([]*devEntry, len(t.devs))
 	copy(devs, t.devs)
 	pool := t.pool
-	gauges := make([]gauge, len(t.gauges))
-	copy(gauges, t.gauges)
+	aggs := t.aggs
 	t.mu.Unlock()
 
 	s := Snapshot{
 		Devices:     make([]DeviceSnap, len(devs)),
-		Agg:         t.agg.snap(),
 		PostLatency: t.hPost.Snap(),
 		AMRoundTrip: t.hAM.Snap(),
 	}
@@ -590,13 +575,8 @@ func (t *Telemetry) Snapshot() Snapshot {
 	if pool != nil {
 		s.Pool = pool()
 	}
-	if len(gauges) > 0 {
-		// Same-named gauges sum: two aggregators both registering
-		// "agg_queued_bytes" report their combined queue.
-		s.Gauges = make(map[string]int64, len(gauges))
-		for _, g := range gauges {
-			s.Gauges[g.name] += g.fn()
-		}
+	for _, fn := range aggs {
+		s.Agg = s.Agg.Add(fn())
 	}
 	return s
 }
@@ -656,17 +636,6 @@ func (s Snapshot) WriteText(w io.Writer) {
 	if s.AMRoundTrip.Count > 0 {
 		fmt.Fprintf(w, "== AM round-trip latency ==\n")
 		s.AMRoundTrip.writeText(w)
-	}
-	if len(s.Gauges) > 0 {
-		names := make([]string, 0, len(s.Gauges))
-		for n := range s.Gauges {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "== gauges ==\n")
-		for _, n := range names {
-			fmt.Fprintf(w, "  %s=%d\n", n, s.Gauges[n])
-		}
 	}
 }
 

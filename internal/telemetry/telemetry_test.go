@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -39,10 +40,11 @@ func TestSnapshotStructure(t *testing.T) {
 		return DeviceGauges{Net: NetSnap{Msgs: 7}, ConnectedPeers: 3, BacklogLen: 1}
 	})
 	tel.RegisterPool(func() PoolSnap { return PoolSnap{Gets: 5, Allocated: 10} })
-	tel.RegisterGauge("agg_queued_bytes", func() int64 { return 42 })
+	// Two aggregators' readers: the snapshot reports their sum.
+	tel.RegisterAgg(func() AggSnap { return AggSnap{Appends: 4, FlushSize: 1, QueuedBytes: 40} })
+	tel.RegisterAgg(func() AggSnap { return AggSnap{Appends: 5, QueuedBytes: 2} })
 	dc.PostInline.Add(2)
 	dc.MatchHits.Add(1)
-	tel.Agg().Appends.Add(9)
 	tel.PostLatency().Record(100)
 
 	s := tel.Snapshot()
@@ -53,7 +55,7 @@ func TestSnapshotStructure(t *testing.T) {
 		t.Fatalf("total PostInline = %d", got)
 	}
 	if s.Devices[0].Gauges.ConnectedPeers != 3 || s.Pool.Gets != 5 ||
-		s.Agg.Appends != 9 || s.Gauges["agg_queued_bytes"] != 42 {
+		s.Agg.Appends != 9 || s.Agg.FlushSize != 1 || s.Agg.QueuedBytes != 42 {
 		t.Fatalf("snapshot lost layer data: %+v", s)
 	}
 	// Diffability: a second snapshot over a quiet interval diffs to zero
@@ -62,14 +64,15 @@ func TestSnapshotStructure(t *testing.T) {
 	if diff.Total() != (DeviceCountersSnap{}) || diff.Pool.Gets != 0 || diff.Agg.Appends != 0 {
 		t.Fatalf("quiet-interval diff not zero: %+v", diff)
 	}
-	if diff.Pool.Allocated != 10 || diff.Devices[0].Gauges.ConnectedPeers != 3 {
+	if diff.Pool.Allocated != 10 || diff.Devices[0].Gauges.ConnectedPeers != 3 || diff.Agg.QueuedBytes != 42 {
 		t.Fatal("gauges must survive Sub")
 	}
 	// The snapshot must marshal (the expvar surface) and render.
 	if _, err := json.Marshal(s); err != nil {
 		t.Fatalf("snapshot does not marshal: %v", err)
 	}
-	if txt := s.String(); !strings.Contains(txt, "inline=2") || !strings.Contains(txt, "appends=9") {
+	if txt := s.String(); !strings.Contains(txt, "inline=2") || !strings.Contains(txt, "appends=9") ||
+		!strings.Contains(txt, "queued-bytes=42") {
 		t.Fatalf("text dump missing layers:\n%s", txt)
 	}
 	if v, ok := tel.Expvar()().(Snapshot); !ok || v.Empty() {
@@ -91,6 +94,19 @@ func TestSnapshotUnderConcurrentBumps(t *testing.T) {
 	}
 	const writers = 8
 	const perWriter = 20000
+	// Each writer bumps its own slot, summed by a registered reader the
+	// way an aggregator sums its shards.
+	var appends [writers]struct {
+		n atomic.Int64
+		_ [56]byte
+	}
+	tel.RegisterAgg(func() AggSnap {
+		var s AggSnap
+		for i := range appends {
+			s.Appends += appends[i].n.Load()
+		}
+		return s
+	})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var snapWG sync.WaitGroup
@@ -120,7 +136,7 @@ func TestSnapshotUnderConcurrentBumps(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				c.PostInline.Add(1)
 				c.Completions.Add(1)
-				tel.Agg().Appends.Add(1)
+				appends[w].n.Add(1)
 				tel.PostLatency().Record(int64(i&1023) + 1)
 			}
 		}(w)
@@ -129,10 +145,11 @@ func TestSnapshotUnderConcurrentBumps(t *testing.T) {
 	close(stop)
 	snapWG.Wait()
 
-	tot := tel.Snapshot().Total()
+	final := tel.Snapshot()
+	tot := final.Total()
 	want := int64(writers * perWriter)
-	if tot.PostInline != want || tot.Completions != want {
-		t.Fatalf("final counters = %d/%d, want %d", tot.PostInline, tot.Completions, want)
+	if tot.PostInline != want || tot.Completions != want || final.Agg.Appends != want {
+		t.Fatalf("final counters = %d/%d/%d, want %d", tot.PostInline, tot.Completions, final.Agg.Appends, want)
 	}
 	if got := tel.Snapshot().PostLatency.Count; got != want {
 		t.Fatalf("hist count = %d, want %d", got, want)

@@ -17,8 +17,8 @@ type (
 	// zero value is the default (counters+histograms on, trace off).
 	TelemetryConfig = telemetry.Config
 	// TelemetrySnapshot is the structured state of every layer: per-device
-	// counters and gauges, packet-pool and aggregation counters, latency
-	// histograms, and named gauges. It marshals directly to JSON, diffs
+	// counters and gauges, packet-pool and aggregation counters (with the
+	// aggregators' queued bytes), and latency histograms. It marshals directly to JSON, diffs
 	// with Sub, and renders with WriteText/String.
 	TelemetrySnapshot = telemetry.Snapshot
 	// TraceEvent is one decoded message-lifecycle trace entry.
