@@ -120,7 +120,11 @@ type Config struct {
 	// next Poll (default 64). Each device column keeps its own epoch,
 	// advanced once per Poll through that column, so the unit is "polls
 	// of this buffer's column" — the column Poll acts on, and a cheap
-	// monotone proxy for time that costs the hot path nothing.
+	// monotone proxy for time that costs the hot path nothing. On a rank
+	// whose D columns are polled about equally, a straggler record thus
+	// waits about D times as many rank-wide Polls (and wall-clock time)
+	// before its age seal as under one rank-wide epoch; no benchmark
+	// workload measures age-flush latency.
 	FlushAge int
 	// Homing selects buffer homing (default HomeDevice).
 	Homing Homing
@@ -206,14 +210,17 @@ type shard struct {
 // BufsPerDest×BufBytes of buffer memory — materialize on the first append
 // toward a destination, so a rank that talks to 8 of 256 peers allocates
 // 8 shards per column, not 256; only the pointer-slot index is O(ranks).
-// The column's age epoch is its own, padded away from other columns, so
-// a Poll writes only the line of the column it acts on.
+// The column's age epoch is its own, padded away from other columns and
+// from the column's read-mostly fields, so a Poll writes only a line no
+// Append reads: producers sharing a column do not lose the shards line
+// to each other's polls.
 type column struct {
 	_      spin.Pad
-	epoch  atomic.Uint64 // advanced once per Poll through this column
 	dev    *core.Device
 	home   int // NUMA domain the column's buffers are homed on
 	shards []atomic.Pointer[shard]
+	_      spin.Pad
+	epoch  atomic.Uint64 // advanced once per Poll through this column
 	_      spin.Pad
 }
 
