@@ -18,30 +18,15 @@ package lci_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"lci"
 	"lci/internal/amt"
 	"lci/internal/bench"
-	"lci/internal/core"
 	"lci/internal/kmer"
 	"lci/internal/lcw"
-	"lci/internal/mpibase"
-	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/nic"
-	"lci/internal/rpc"
 	"lci/internal/topo"
 )
-
-// leanWorld builds an LCI world with application-scale resource quotas
-// (the library defaults target microbenchmark packet volumes).
-func leanWorld(ranks int) *lci.World {
-	return lci.NewWorld(ranks, lci.WithRuntimeConfig(core.Config{
-		PacketsPerWorker: 256,
-		PreRecvs:         64,
-	}))
-}
 
 // benchPlatforms returns the evaluation platforms (both simulated).
 func benchPlatforms() []lci.Platform { return lci.Platforms() }
@@ -242,68 +227,53 @@ func kmerBenchConfig(threads int) kmer.Config {
 	}
 }
 
+// appJob builds the job a mini-app benchmark runs on: a device (LCI) or
+// VCI (MPIX) per thread where the library has one, with
+// application-scale receive depth (the library defaults target
+// microbenchmark packet volumes).
+func appJob(b *testing.B, kind lcw.Kind, ranks, threads int) *lcw.Job {
+	job, err := lcw.NewJob(lcw.Config{
+		Kind: kind, Ranks: ranks, ThreadsPerRank: threads,
+		Dedicated: kind == lcw.LCI || kind == lcw.MPIX, PreRecvs: 64,
+	}, lci.SimExpanse())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return job
+}
+
 // BenchmarkFig7KmerCounting: k-mer counting strong scaling (§6.3,
 // Figure 7): multithreaded LCI and GASNet backends (2 ranks/node, the
 // paper's layout) versus the single-threaded one-rank-per-core reference.
 func BenchmarkFig7KmerCounting(b *testing.B) {
 	const threadsPerRank = 4
-	runLCI := func(b *testing.B, nodes int) {
-		ranks := 2 * nodes
-		cfg := kmerBenchConfig(threadsPerRank)
-		world := leanWorld(ranks)
-		err := world.Launch(func(rt *lci.Runtime) error {
-			tr, err := rpc.NewLCITransport(rt, threadsPerRank)
-			if err != nil {
-				return err
-			}
-			_, err = kmer.Run(tr, cfg)
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	runGASNet := func(b *testing.B, nodes int, threads, ranksPerNode int) {
-		ranks := ranksPerNode * nodes
+	run := func(b *testing.B, kind lcw.Kind, ranks, threads int) {
+		job := appJob(b, kind, ranks, threads)
+		defer job.Close()
 		cfg := kmerBenchConfig(threads)
-		plat := lci.SimExpanse()
-		fab := fabric.New(fabric.Config{NumRanks: ranks})
-		trs := make([]*rpc.GASNetTransport, ranks)
-		for r := 0; r < ranks; r++ {
-			trs[r] = rpc.NewGASNetTransport(nic.NewDomain(fab, r, plat.Provider))
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, ranks)
-		for r := 0; r < ranks; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				_, errs[r] = kmer.Run(trs[r], cfg)
-			}(r)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
+		if err := job.Launch(func(c *lcw.Comm) error {
+			_, err := kmer.Run(c, cfg)
+			return err
+		}); err != nil {
+			b.Fatal(err)
 		}
 	}
 	for _, nodes := range []int{1, 2} {
 		b.Run(fmt.Sprintf("lci/nodes=%d", nodes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runLCI(b, nodes)
+				run(b, lcw.LCI, 2*nodes, threadsPerRank)
 			}
 		})
 		b.Run(fmt.Sprintf("gasnet/nodes=%d", nodes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runGASNet(b, nodes, threadsPerRank, 2)
+				run(b, lcw.GASNET, 2*nodes, threadsPerRank)
 			}
 		})
 		b.Run(fmt.Sprintf("reference-1rank-per-core/nodes=%d", nodes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// HipMer/UPC++ layout: one single-threaded rank per core
 				// (2*threadsPerRank "cores" per node here).
-				runGASNet(b, nodes, 1, 2*threadsPerRank)
+				run(b, lcw.GASNET, 2*threadsPerRank*nodes, 1)
 			}
 		})
 	}
@@ -314,72 +284,28 @@ func BenchmarkFig7KmerCounting(b *testing.B) {
 func BenchmarkFig8OctoTiger(b *testing.B) {
 	const threads = 8
 	cfg := amt.Config{Depth: 3, GridSize: 8, Steps: 5, Threads: threads}
-	runLCI := func(b *testing.B, ranks int) float64 {
-		world := leanWorld(ranks)
+	run := func(b *testing.B, kind lcw.Kind, ranks int) float64 {
+		job := appJob(b, kind, ranks, threads)
+		defer job.Close()
 		var perStep float64
-		err := world.Launch(func(rt *lci.Runtime) error {
-			tr, err := rpc.NewLCITransport(rt, threads)
-			if err != nil {
-				return err
-			}
-			res, err := amt.Run(tr, cfg)
-			if rt.Rank() == 0 {
+		if err := job.Launch(func(c *lcw.Comm) error {
+			res, err := amt.Run(c, cfg)
+			if c.Rank() == 0 {
 				perStep = res.TimePerStep.Seconds()
 			}
 			return err
-		})
-		if err != nil {
+		}); err != nil {
 			b.Fatal(err)
 		}
 		return perStep
 	}
-	runMPI := func(b *testing.B, ranks, vcis int) float64 {
-		plat := lci.SimExpanse()
-		fab := fabric.New(fabric.Config{NumRanks: ranks})
-		trs := make([]*rpc.MPITransport, ranks)
-		for r := 0; r < ranks; r++ {
-			m := mpibase.New(nic.NewDomain(fab, r, plat.Provider), mpibase.Config{
-				NumVCIs: vcis, AssertNoAnyTag: true, AssertAllowOvertaking: true,
-			})
-			tr, err := rpc.NewMPITransport(m, threads, 1<<16)
-			if err != nil {
-				b.Fatal(err)
-			}
-			trs[r] = tr
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, ranks)
-		results := make([]amt.Result, ranks)
-		for r := 0; r < ranks; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				results[r], errs[r] = amt.Run(trs[r], cfg)
-			}(r)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		return results[0].TimePerStep.Seconds()
-	}
 	for _, ranks := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("lci/nodes=%d", ranks), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.ReportMetric(runLCI(b, ranks), "s/step")
-			}
-		})
-		b.Run(fmt.Sprintf("mpi/nodes=%d", ranks), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.ReportMetric(runMPI(b, ranks, 1), "s/step")
-			}
-		})
-		b.Run(fmt.Sprintf("mpix/nodes=%d", ranks), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.ReportMetric(runMPI(b, ranks, threads), "s/step")
-			}
-		})
+		for _, kind := range []lcw.Kind{lcw.LCI, lcw.MPI, lcw.MPIX} {
+			b.Run(fmt.Sprintf("%s/nodes=%d", kind, ranks), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.ReportMetric(run(b, kind, ranks), "s/step")
+				}
+			})
+		}
 	}
 }

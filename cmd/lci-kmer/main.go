@@ -12,15 +12,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
+	"slices"
 	"time"
 
 	"lci"
-	"lci/internal/core"
 	"lci/internal/kmer"
-	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/nic"
-	"lci/internal/rpc"
+	"lci/internal/lcw"
 )
 
 var (
@@ -41,62 +38,25 @@ func config(threads int) kmer.Config {
 	}
 }
 
-func runLCI(nodes int) (time.Duration, error) {
-	ranks := 2 * nodes
-	cfg := config(*threads)
-	world := lci.NewWorld(ranks, lci.WithRuntimeConfig(core.Config{PacketsPerWorker: 256, PreRecvs: 64}))
-	var worst time.Duration
-	var mu sync.Mutex
-	err := world.Launch(func(rt *lci.Runtime) error {
-		tr, err := rpc.NewLCITransport(rt, *threads)
-		if err != nil {
-			return err
-		}
-		res, err := kmer.Run(tr, cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if res.Elapsed > worst {
-			worst = res.Elapsed
-		}
-		mu.Unlock()
-		return nil
-	})
-	return worst, err
-}
-
-func runGASNet(nodes, thr, ranksPerNode int) (time.Duration, error) {
-	ranks := ranksPerNode * nodes
+// run runs the pipeline once over kind with thr worker threads per rank
+// and returns the slowest rank's time.
+func run(kind lcw.Kind, ranks, thr int) (time.Duration, error) {
+	job, err := lcw.NewJob(lcw.Config{
+		Kind: kind, Ranks: ranks, ThreadsPerRank: thr,
+		Dedicated: kind == lcw.LCI || kind == lcw.MPIX, PreRecvs: 64,
+	}, lci.SimExpanse())
+	if err != nil {
+		return 0, err
+	}
+	defer job.Close()
 	cfg := config(thr)
-	plat := lci.SimExpanse()
-	fab := fabric.New(fabric.Config{NumRanks: ranks})
-	trs := make([]*rpc.GASNetTransport, ranks)
-	for r := 0; r < ranks; r++ {
-		trs[r] = rpc.NewGASNetTransport(nic.NewDomain(fab, r, plat.Provider))
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, ranks)
 	times := make([]time.Duration, ranks)
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			res, err := kmer.Run(trs[r], cfg)
-			times[r], errs[r] = res.Elapsed, err
-		}(r)
-	}
-	wg.Wait()
-	var worst time.Duration
-	for r := range errs {
-		if errs[r] != nil {
-			return 0, errs[r]
-		}
-		if times[r] > worst {
-			worst = times[r]
-		}
-	}
-	return worst, nil
+	err = job.Launch(func(c *lcw.Comm) error {
+		res, err := kmer.Run(c, cfg)
+		times[c.Rank()] = res.Elapsed
+		return err
+	})
+	return slices.Max(times), err
 }
 
 func main() {
@@ -104,18 +64,18 @@ func main() {
 	fmt.Println("== Figure 7: k-mer counting strong scaling ==")
 	fmt.Printf("dataset: %d reads x 100 bp, k=%d, agg=8KB\n", *reads, *kflag)
 	for nodes := 1; nodes <= *maxNodes; nodes *= 2 {
-		if d, err := runLCI(nodes); err == nil {
+		if d, err := run(lcw.LCI, 2*nodes, *threads); err == nil {
 			fmt.Printf("lci        nodes=%-3d threads=%-3d time=%8.3fs\n", nodes, *threads, d.Seconds())
 		} else {
 			fmt.Fprintln(os.Stderr, "lci error:", err)
 		}
-		if d, err := runGASNet(nodes, *threads, 2); err == nil {
+		if d, err := run(lcw.GASNET, 2*nodes, *threads); err == nil {
 			fmt.Printf("gasnet     nodes=%-3d threads=%-3d time=%8.3fs\n", nodes, *threads, d.Seconds())
 		} else {
 			fmt.Fprintln(os.Stderr, "gasnet error:", err)
 		}
 		// Reference: one single-threaded rank per "core".
-		if d, err := runGASNet(nodes, 1, 2**threads); err == nil {
+		if d, err := run(lcw.GASNET, 2**threads*nodes, 1); err == nil {
 			fmt.Printf("reference  nodes=%-3d ranks/node=%-3d time=%8.3fs\n", nodes, 2**threads, d.Seconds())
 		} else {
 			fmt.Fprintln(os.Stderr, "reference error:", err)

@@ -12,16 +12,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
+	"slices"
 	"time"
 
 	"lci"
 	"lci/internal/amt"
-	"lci/internal/core"
-	"lci/internal/mpibase"
-	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/nic"
-	"lci/internal/rpc"
+	"lci/internal/lcw"
 )
 
 var (
@@ -48,62 +44,24 @@ func cfg() amt.Config {
 	return amt.Config{Depth: *depth, GridSize: *grid, Steps: *steps, Threads: *threads}
 }
 
-func runLCI(ranks int) (time.Duration, error) {
-	world := lci.NewWorld(ranks, lci.WithPlatform(platform()),
-		lci.WithRuntimeConfig(core.Config{PacketsPerWorker: 256, PreRecvs: 64}))
-	var perStep time.Duration
-	var mu sync.Mutex
-	err := world.Launch(func(rt *lci.Runtime) error {
-		tr, err := rpc.NewLCITransport(rt, *threads)
-		if err != nil {
-			return err
-		}
-		res, err := amt.Run(tr, cfg())
-		mu.Lock()
-		if res.TimePerStep > perStep {
-			perStep = res.TimePerStep
-		}
-		mu.Unlock()
+// run runs the mini-app once over kind and returns the slowest rank's
+// time per step.
+func run(kind lcw.Kind, ranks int) (time.Duration, error) {
+	job, err := lcw.NewJob(lcw.Config{
+		Kind: kind, Ranks: ranks, ThreadsPerRank: *threads,
+		Dedicated: kind == lcw.LCI || kind == lcw.MPIX, PreRecvs: 64,
+	}, platform())
+	if err != nil {
+		return 0, err
+	}
+	defer job.Close()
+	perStep := make([]time.Duration, ranks)
+	err = job.Launch(func(c *lcw.Comm) error {
+		res, err := amt.Run(c, cfg())
+		perStep[c.Rank()] = res.TimePerStep
 		return err
 	})
-	return perStep, err
-}
-
-func runMPI(ranks, vcis int) (time.Duration, error) {
-	plat := platform()
-	fab := fabric.New(fabric.Config{NumRanks: ranks})
-	trs := make([]*rpc.MPITransport, ranks)
-	for r := 0; r < ranks; r++ {
-		m := mpibase.New(nic.NewDomain(fab, r, plat.Provider), mpibase.Config{
-			NumVCIs: vcis, AssertNoAnyTag: true, AssertAllowOvertaking: true,
-		})
-		tr, err := rpc.NewMPITransport(m, *threads, 1<<16)
-		if err != nil {
-			return 0, err
-		}
-		trs[r] = tr
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, ranks)
-	results := make([]amt.Result, ranks)
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			results[r], errs[r] = amt.Run(trs[r], cfg())
-		}(r)
-	}
-	wg.Wait()
-	var worst time.Duration
-	for r := range errs {
-		if errs[r] != nil {
-			return 0, errs[r]
-		}
-		if results[r].TimePerStep > worst {
-			worst = results[r].TimePerStep
-		}
-	}
-	return worst, nil
+	return slices.Max(perStep), err
 }
 
 func main() {
@@ -112,20 +70,12 @@ func main() {
 	fmt.Printf("octree depth=%d (%d leaves), grid=%d^3, steps=%d, threads=%d\n",
 		*depth, 1<<(3**depth), *grid, *steps, *threads)
 	for nodes := 1; nodes <= *maxNodes; nodes *= 2 {
-		if d, err := runLCI(nodes); err == nil {
-			fmt.Printf("lci   nodes=%-3d time/step=%9.4fs\n", nodes, d.Seconds())
-		} else {
-			fmt.Fprintln(os.Stderr, "lci error:", err)
-		}
-		if d, err := runMPI(nodes, 1); err == nil {
-			fmt.Printf("mpi   nodes=%-3d time/step=%9.4fs\n", nodes, d.Seconds())
-		} else {
-			fmt.Fprintln(os.Stderr, "mpi error:", err)
-		}
-		if d, err := runMPI(nodes, *threads); err == nil {
-			fmt.Printf("mpix  nodes=%-3d time/step=%9.4fs\n", nodes, d.Seconds())
-		} else {
-			fmt.Fprintln(os.Stderr, "mpix error:", err)
+		for _, kind := range []lcw.Kind{lcw.LCI, lcw.MPI, lcw.MPIX} {
+			if d, err := run(kind, nodes); err == nil {
+				fmt.Printf("%-5s nodes=%-3d time/step=%9.4fs\n", kind, nodes, d.Seconds())
+			} else {
+				fmt.Fprintf(os.Stderr, "%s error: %v\n", kind, err)
+			}
 		}
 	}
 }

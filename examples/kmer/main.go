@@ -1,18 +1,17 @@
 // kmer runs a small end-to-end k-mer counting job (the paper's §6.3
-// mini-app) through the public API: 4 simulated ranks, 2 worker threads
-// each, LCI transport, and prints the occurrence histogram with a check
-// against the sequential oracle.
+// mini-app) over the LCW client layer: 4 simulated ranks, 2 worker
+// threads each, the LCI backend, and prints the occurrence histogram
+// with a check against the sequential oracle.
 package main
 
 import (
 	"fmt"
 	"log"
 	"sort"
-	"sync"
 
 	"lci"
 	"lci/internal/kmer"
-	"lci/internal/rpc"
+	"lci/internal/lcw"
 )
 
 func main() {
@@ -25,24 +24,17 @@ func main() {
 		K: 31, Threads: threads, AggBytes: 8192, BloomBitsPerKmer: 64,
 	}
 
-	world := lci.NewWorld(ranks)
-	defer world.Close()
+	job, err := lcw.NewJob(lcw.Config{Kind: lcw.LCI, Ranks: ranks, ThreadsPerRank: threads, Dedicated: true}, lci.SimExpanse())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer job.Close()
 
 	results := make([]kmer.Result, ranks)
-	var mu sync.Mutex
-	err := world.Launch(func(rt *lci.Runtime) error {
-		tr, err := rpc.NewLCITransport(rt, threads)
-		if err != nil {
-			return err
-		}
-		res, err := kmer.Run(tr, cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		results[rt.Rank()] = res
-		mu.Unlock()
-		return nil
+	err = job.Launch(func(c *lcw.Comm) error {
+		res, err := kmer.Run(c, cfg)
+		results[c.Rank()] = res
+		return err
 	})
 	if err != nil {
 		log.Fatal(err)

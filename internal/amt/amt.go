@@ -26,7 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lci/internal/rpc"
+	"lci/internal/lcw"
 )
 
 // Config parameterizes one run.
@@ -79,7 +79,7 @@ type leaf struct {
 
 type app struct {
 	cfg    Config
-	tr     rpc.Transport
+	c      *lcw.Comm
 	rank   int
 	n      int
 	dim    int // leaves per axis = 2^Depth
@@ -122,9 +122,10 @@ func mortonDecode(m, depth int) (x, y, z int) {
 	return
 }
 
-// Run executes the mini-app on this rank; all ranks call Run with the
-// same configuration.
-func Run(tr rpc.Transport, cfg Config) (Result, error) {
+// Run executes the mini-app on this rank, worker thread t using
+// c.Thread(t) (cfg.Threads must not exceed the Comm's threads); all ranks
+// call Run with the same configuration.
+func Run(c *lcw.Comm, cfg Config) (Result, error) {
 	if cfg.Depth < 1 || cfg.Depth > 6 {
 		return Result{}, fmt.Errorf("amt: depth %d out of range [1,6]", cfg.Depth)
 	}
@@ -134,8 +135,11 @@ func Run(tr rpc.Transport, cfg Config) (Result, error) {
 	if cfg.Threads < 1 {
 		return Result{}, fmt.Errorf("amt: need at least one thread")
 	}
+	if face := faceBytes(cfg.GridSize); face > c.MaxAM() {
+		return Result{}, fmt.Errorf("amt: %d-byte face message exceeds the %d-byte AM limit", face, c.MaxAM())
+	}
 	a := &app{
-		cfg: cfg, tr: tr, rank: tr.Rank(), n: tr.NumRanks(),
+		cfg: cfg, c: c, rank: c.Rank(), n: c.NumRanks(),
 		dim: 1 << cfg.Depth, byIdx: make(map[int]*leaf),
 	}
 	a.total = a.dim * a.dim * a.dim
@@ -143,7 +147,7 @@ func Run(tr rpc.Transport, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("amt: %d leaves < %d ranks", a.total, a.n)
 	}
 	a.initLeaves()
-	tr.SetSink(a.sink)
+	c.SetSink(a.sink)
 
 	start := time.Now()
 	for step := 0; step < cfg.Steps; step++ {
@@ -290,6 +294,10 @@ func (a *app) dtMax(parity int, v float64) {
 	}
 }
 
+// faceBytes is the wire size of one face message: an 8-byte header and
+// S*S float64 halo values.
+func faceBytes(S int) int { return 8 + S*S*8 }
+
 // sendFace ships leaf lf's face f for the given parity to its neighbor
 // (or delivers it locally).
 func (a *app) sendFace(lf *leaf, f, parity, tid int, scratch []float64) {
@@ -303,7 +311,7 @@ func (a *app) sendFace(lf *leaf, f, parity, tid int, scratch []float64) {
 		dst.arrived[parity].Add(1)
 		return
 	}
-	payload := make([]byte, 8+S*S*8)
+	payload := make([]byte, faceBytes(S))
 	payload[0] = kindFace
 	payload[1] = byte(parity)
 	payload[2] = byte(opposite(f))
@@ -311,7 +319,7 @@ func (a *app) sendFace(lf *leaf, f, parity, tid int, scratch []float64) {
 	for i, v := range scratch {
 		binary.LittleEndian.PutUint64(payload[8+i*8:], math.Float64bits(v))
 	}
-	a.tr.Send(nOwner, payload, tid)
+	lcw.Send(a.c.Thread(tid), nOwner, payload)
 	atomic.AddInt64(&a.faceBytes, int64(len(payload)))
 }
 
@@ -448,14 +456,14 @@ func (a *app) waitAll(pred func() bool) {
 		go func(tid int) {
 			defer wg.Done()
 			for !stop.Load() {
-				if a.tr.Serve(tid) == 0 {
+				if a.c.Thread(tid).Progress() == 0 {
 					runtime.Gosched()
 				}
 			}
 		}(tid)
 	}
 	for !pred() {
-		if a.tr.Serve(0) == 0 {
+		if a.c.Thread(0).Progress() == 0 {
 			runtime.Gosched()
 		}
 	}
@@ -472,7 +480,7 @@ func (a *app) reduceDt(parity int, local float64) {
 		msg[0] = kindDtUp
 		msg[1] = byte(parity)
 		binary.LittleEndian.PutUint64(msg[8:], math.Float64bits(local))
-		a.tr.Send(0, msg[:], 0)
+		lcw.Send(a.c.Thread(0), 0, msg[:])
 		// Wait for the broadcast.
 		a.waitAll(func() bool { return a.bcastSeen[parity].Load() > 0 })
 		a.bcastSeen[parity].Store(0)
@@ -487,7 +495,7 @@ func (a *app) reduceDt(parity int, local float64) {
 		msg[0] = kindDtBcast
 		msg[1] = byte(parity)
 		binary.LittleEndian.PutUint64(msg[8:], atomic.LoadUint64(&a.dtValue[parity]))
-		a.tr.Send(dst, msg[:], 0)
+		lcw.Send(a.c.Thread(0), dst, msg[:])
 	}
 	a.dtValue[parity] = 0
 }

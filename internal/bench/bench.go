@@ -6,14 +6,17 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lci"
 	"lci/internal/core"
 	"lci/internal/lcw"
+	"lci/internal/spin"
 	"lci/internal/topo"
 )
 
@@ -69,12 +72,7 @@ func MessageRateProcess(kind lcw.Kind, platform lci.Platform, pairs, iters int) 
 	}
 	defer job.Close()
 
-	elapsed := runPingPong(job, pairs, iters, 8, func(pair int) (c lcw.Comm, peer int, initiator bool) {
-		if pair < pairs {
-			return job.Comm(pair), pair + pairs, true
-		}
-		return job.Comm(pair), pair - pairs, false
-	}, 2*pairs)
+	elapsed := runPingPong(job, iters)
 
 	msgs := int64(pairs) * int64(iters)
 	return RateResult{
@@ -95,14 +93,7 @@ func MessageRateThread(kind lcw.Kind, platform lci.Platform, threads, iters int,
 	}
 	defer job.Close()
 
-	elapsed := runPingPong(job, threads, iters, 8, func(pair int) (lcw.Comm, int, bool) {
-		// pair t < threads: thread t of rank 0 (initiator);
-		// pair t >= threads: thread t-threads of rank 1 (responder).
-		if pair < threads {
-			return job.Comm(0), 1, true
-		}
-		return job.Comm(1), 0, false
-	}, 2*threads)
+	elapsed := runPingPong(job, iters)
 
 	mode := "thread-shared"
 	if dedicated {
@@ -130,12 +121,7 @@ func MessageRateDevices(platform lci.Platform, threads, devices, iters int) (Rat
 	}
 	defer job.Close()
 
-	elapsed := runPingPong(job, threads, iters, 8, func(pair int) (lcw.Comm, int, bool) {
-		if pair < threads {
-			return job.Comm(0), 1, true
-		}
-		return job.Comm(1), 0, false
-	}, 2*threads)
+	elapsed := runPingPong(job, iters)
 
 	msgs := int64(threads) * int64(iters)
 	return RateResult{
@@ -170,12 +156,7 @@ func MessageRateLocality(platform lci.Platform, t *topo.Topology, threads, devic
 	}
 	defer job.Close()
 
-	elapsed := runPingPong(job, threads, iters, 8, func(pair int) (lcw.Comm, int, bool) {
-		if pair < threads {
-			return job.Comm(0), 1, true
-		}
-		return job.Comm(1), 0, false
-	}, 2*threads)
+	elapsed := runPingPong(job, iters)
 
 	msgs := int64(threads) * int64(iters)
 	return RateResult{
@@ -186,69 +167,74 @@ func MessageRateLocality(platform lci.Platform, t *topo.Topology, threads, devic
 	}, nil
 }
 
-// runPingPong drives pairs of AM ping-pong workers and returns the
-// elapsed wall time of the communication phase. layout maps a worker
-// index in [0, workers) to its comm, peer rank and role; a worker's
-// thread handle index is its index modulo the per-rank thread count.
-func runPingPong(job *lcw.Job, pairs, iters, size int,
-	layout func(worker int) (lcw.Comm, int, bool), workers int) time.Duration {
+// runPingPong drives 8-byte AM ping-pongs between every thread of the
+// job's first half of ranks (initiators) and the same-index thread of
+// rank r+Ranks/2 (responders) — the process mode's rank pairs and the
+// thread modes' thread pairs alike — and returns the elapsed wall time
+// of the communication phase. Each rank's sink counts an arrival for the
+// thread index the payload carries, since on shared resources any of the
+// rank's threads may be the one whose Progress delivers it.
+func runPingPong(job *lcw.Job, iters int) time.Duration {
+	cfg := job.Config()
+	tpr, half := cfg.ThreadsPerRank, cfg.Ranks/2
+	arrived := make([]struct {
+		n atomic.Int64
+		_ spin.Pad
+	}, cfg.Ranks*tpr)
+	for r := 0; r < cfg.Ranks; r++ {
+		got := arrived[r*tpr : (r+1)*tpr]
+		job.Comm(r).SetSink(func(_ int, data []byte) {
+			got[binary.LittleEndian.Uint32(data)].n.Add(1)
+		})
+	}
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	var elapsed time.Duration
-	var once sync.Once
-	t0 := time.Time{}
-
-	for wkr := 0; wkr < workers; wkr++ {
-		comm, peer, initiator := layout(wkr)
-		th := comm.Thread(wkr % job.Config().ThreadsPerRank)
+	for w := range arrived {
+		rank, tid := w/tpr, w%tpr
+		th := job.Comm(rank).Thread(tid)
+		got := &arrived[w].n
+		initiator, peer := rank < half, rank+half
+		if !initiator {
+			peer = rank - half
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			msg := make([]byte, size)
-			<-start
-			if initiator {
-				for i := 0; i < iters; i++ {
-					for miss := 0; !th.SendAM(peer, msg); miss++ {
-						th.Progress()
-						if miss&63 == 63 {
-							runtime.Gosched() // oversubscription fairness
-						}
-					}
-					for miss := 0; ; miss++ {
-						if _, ok := th.PollAM(); ok {
-							break
-						}
-						if miss&63 == 63 {
-							runtime.Gosched()
-						}
+			msg := make([]byte, 8)
+			binary.LittleEndian.PutUint32(msg, uint32(tid))
+			send := func() {
+				for miss := 0; !th.SendAM(peer, msg); miss++ {
+					th.Progress()
+					if miss&63 == 63 {
+						runtime.Gosched() // oversubscription fairness
 					}
 				}
-			} else {
-				for i := 0; i < iters; i++ {
-					for miss := 0; ; miss++ {
-						if _, ok := th.PollAM(); ok {
-							break
-						}
-						if miss&63 == 63 {
-							runtime.Gosched()
-						}
+			}
+			recv := func(want int64) {
+				for miss := 0; got.Load() < want; miss++ {
+					th.Progress()
+					if miss&63 == 63 {
+						runtime.Gosched()
 					}
-					for miss := 0; !th.SendAM(peer, msg); miss++ {
-						th.Progress()
-						if miss&63 == 63 {
-							runtime.Gosched()
-						}
-					}
+				}
+			}
+			<-start
+			for i := int64(1); i <= int64(iters); i++ {
+				if initiator {
+					send()
+					recv(i)
+				} else {
+					recv(i)
+					send()
 				}
 			}
 		}()
 	}
-	once.Do(func() { t0 = time.Now() })
+	t0 := time.Now()
 	close(start)
 	wg.Wait()
-	elapsed = time.Since(t0)
-	return elapsed
+	return time.Since(t0)
 }
 
 // BandwidthThread runs Figure 5: two ranks, threads goroutines per rank,

@@ -332,8 +332,8 @@ func TestRegisterThreadRoundRobin(t *testing.T) {
 }
 
 // TestRemoteDeviceZeroExplicit: the RemoteDeviceSet flag makes endpoint 0
-// addressable from any posting device (the bare >0 hint could not), while
-// the legacy hint and the same-index default keep working.
+// addressable from any posting device, while the same-index default
+// keeps working.
 func TestRemoteDeviceZeroExplicit(t *testing.T) {
 	rts := newTestRuntimeCfg(t, 2, Config{NumDevices: 2, PacketsPerWorker: 16, PreRecvs: 4})
 	defer rts[0].Close()
@@ -356,20 +356,19 @@ func TestRemoteDeviceZeroExplicit(t *testing.T) {
 
 	post(Options{RemoteDevice: 0, RemoteDeviceSet: true}) // explicit device 0
 	post(Options{})                                       // default: same index as posting device (1)
-	post(Options{RemoteDevice: 1})                        // legacy hint, still honored
 
 	// Drain via all devices; then check per-endpoint delivery counts.
-	for i := 0; i < 100_000 && got.n.Load() < 3; i++ {
+	for i := 0; i < 100_000 && got.n.Load() < 2; i++ {
 		rts[1].ProgressAll()
 	}
-	if got.n.Load() != 3 {
-		t.Fatalf("delivered %d of 3", got.n.Load())
+	if got.n.Load() != 2 {
+		t.Fatalf("delivered %d of 2", got.n.Load())
 	}
 	if n := rts[1].Telemetry().Snapshot().Devices[0].Gauges.Net.Msgs; n != 1 {
 		t.Errorf("endpoint 0 carried %d msgs, want 1 (explicit RemoteDevice 0)", n)
 	}
-	if n := rts[1].Telemetry().Snapshot().Devices[1].Gauges.Net.Msgs; n != 2 {
-		t.Errorf("endpoint 1 carried %d msgs, want 2 (default + legacy hint)", n)
+	if n := rts[1].Telemetry().Snapshot().Devices[1].Gauges.Net.Msgs; n != 1 {
+		t.Errorf("endpoint 1 carried %d msgs, want 1 (default)", n)
 	}
 }
 

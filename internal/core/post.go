@@ -42,11 +42,11 @@ type Options struct {
 	LocalComp base.Comp
 	// Remote supplies the remote buffer for RMA operations (Table 1).
 	Remote *RemoteBuffer
-	// RemoteDevice selects which peer endpoint handles the operation when
-	// RemoteDeviceSet is true (device 0 included); without the flag a
-	// positive value is honored as the legacy hint, and zero defers to the
-	// default: the posting device's own index (symmetric jobs pair device
-	// i with device i).
+	// RemoteDevice selects which peer endpoint handles the operation; it
+	// is honored only when RemoteDeviceSet is true (device 0 included).
+	// Without the flag the operation goes to the default endpoint: the
+	// posting device's own index (symmetric jobs pair device i with
+	// device i).
 	RemoteDevice int
 	// RemoteDeviceSet marks RemoteDevice as explicitly chosen, making
 	// device 0 addressable (the bare int cannot distinguish "unset" from
@@ -183,10 +183,6 @@ func (o *Options) ring(d *Device) *telemetry.Ring {
 
 func (o *Options) remoteDev(d *Device) int {
 	if o.RemoteDeviceSet {
-		return o.RemoteDevice
-	}
-	if o.RemoteDevice > 0 {
-		// Legacy hint: pre-flag callers could only address devices > 0.
 		return o.RemoteDevice
 	}
 	return d.Index()

@@ -8,11 +8,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lci/internal/rpc"
+	"lci/internal/lcw"
 )
 
 // Message kinds on the wire. Batch kinds tag individual records on the
-// rpc.RecordSender path; done/barrier kinds travel as raw control sends.
+// lcw.RecordSender path; done/barrier kinds travel as raw control sends.
 const (
 	kindBatch1  = 1 + iota // pass-1 k-mer record (Bloom insert)
 	kindBatch2             // pass-2 k-mer record (map counting)
@@ -34,9 +34,6 @@ type Config struct {
 	// BloomBitsPerKmer sizes the per-rank Bloom filter (default 12 bits
 	// per expected k-mer, ~4 hash probes).
 	BloomBitsPerKmer int
-	// DedicatedProgress reserves one of the threads purely for serving
-	// incoming batches (the paper's "GASNet-EX (p1)" configuration).
-	DedicatedProgress bool
 }
 
 // DefaultConfig returns a laptop-scale configuration (k=51 like the
@@ -63,7 +60,7 @@ type Result struct {
 
 type app struct {
 	cfg   Config
-	tr    rpc.Transport
+	c     *lcw.Comm
 	rank  int
 	n     int
 	reads [][]byte
@@ -71,7 +68,7 @@ type app struct {
 	bloom *Bloom
 	cmap  *CountMap
 
-	rs rpc.RecordSender // aggregated k-mer record path over tr
+	rs lcw.RecordSender // aggregated k-mer record path over c
 
 	pass      atomic.Int32
 	recvCount [2]atomic.Int64 // k-mers received per pass
@@ -82,10 +79,11 @@ type app struct {
 	total     atomic.Int64
 }
 
-// Run executes the two-pass k-mer counting pipeline on this rank. All
-// ranks must call Run with identical configurations; Run returns after
-// the global pipeline completes.
-func Run(tr rpc.Transport, cfg Config) (Result, error) {
+// Run executes the two-pass k-mer counting pipeline on this rank, worker
+// thread t using c.Thread(t) (cfg.Threads must not exceed the Comm's
+// threads). All ranks must call Run with identical configurations; Run
+// returns after the global pipeline completes.
+func Run(c *lcw.Comm, cfg Config) (Result, error) {
 	if cfg.K < 1 || cfg.K > MaxK {
 		return Result{}, fmt.Errorf("kmer: k=%d out of range [1,%d]", cfg.K, MaxK)
 	}
@@ -99,7 +97,7 @@ func Run(tr rpc.Transport, cfg Config) (Result, error) {
 		cfg.BloomBitsPerKmer = 12
 	}
 
-	a := &app{cfg: cfg, tr: tr, rank: tr.Rank(), n: tr.NumRanks()}
+	a := &app{cfg: cfg, c: c, rank: c.Rank(), n: c.NumRanks()}
 	genome := Genome(cfg.Reads)
 	a.reads = Reads(cfg.Reads, genome, a.rank, a.n)
 
@@ -112,10 +110,10 @@ func Run(tr rpc.Transport, cfg Config) (Result, error) {
 	a.cmap = NewCountMap(expectedKmers)
 	a.sentTo = make([]atomic.Int64, a.n)
 
-	// K-mer batches ride the aggregated record path (internal/agg on the
-	// LCI transport, the generic coalescer elsewhere); done/barrier
-	// control messages stay on raw sends into a.sink.
-	a.rs = rpc.Records(tr, cfg.AggBytes, a.record, a.sink)
+	// K-mer batches ride the aggregated record path (internal/agg on
+	// LCI, the generic coalescer elsewhere); done/barrier control
+	// messages stay on raw sends into a.sink.
+	a.rs = lcw.Records(c, cfg.AggBytes, a.record, a.sink)
 
 	start := time.Now()
 	a.runPass(1)
@@ -142,8 +140,8 @@ func Run(tr rpc.Transport, cfg Config) (Result, error) {
 }
 
 // record handles one arrived k-mer record ([kind][16-byte k-mer]). It
-// must be thread-safe: any worker (LCI) or the polling thread (GASNet)
-// may invoke it, and the record is only valid during the call.
+// must be thread-safe: any progressing thread may invoke it, and the
+// record is only valid during the call.
 func (a *app) record(src int, rec []byte) {
 	_ = src
 	pass := 0
@@ -155,8 +153,7 @@ func (a *app) record(src int, rec []byte) {
 }
 
 // sink handles one arrived raw (control) payload. It must be
-// thread-safe: any worker (LCI) or the polling thread (GASNet) may
-// invoke it.
+// thread-safe: any progressing thread may invoke it.
 func (a *app) sink(src int, payload []byte) {
 	switch payload[0] {
 	case kindDone1:
@@ -210,34 +207,12 @@ func (a *app) runPass(pass int) {
 	}
 
 	workers := a.cfg.Threads
-	serveInline := true
-	stopProgress := make(chan struct{})
-	var progressWG sync.WaitGroup
-	if a.cfg.DedicatedProgress && workers > 1 {
-		// The paper's "(p1)" setup: one thread does nothing but serve.
-		workers--
-		serveInline = false
-		progressWG.Add(1)
-		go func() {
-			defer progressWG.Done()
-			for {
-				select {
-				case <-stopProgress:
-					return
-				default:
-					if a.tr.Serve(workers) == 0 {
-						runtime.Gosched()
-					}
-				}
-			}
-		}()
-	}
-
 	var wg sync.WaitGroup
 	for tid := 0; tid < workers; tid++ {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
+			th := a.c.Thread(tid)
 			sinceServe := 0
 			lo := len(a.reads) * tid / workers
 			hi := len(a.reads) * (tid + 1) / workers
@@ -250,9 +225,9 @@ func (a *app) runPass(pass int) {
 						a.add(owner, km, tid, kind)
 					}
 					sinceServe++
-					if serveInline && sinceServe >= 256 {
+					if sinceServe >= 256 {
 						sinceServe = 0
-						a.tr.Serve(tid)
+						th.Progress()
 					}
 				})
 			}
@@ -271,29 +246,26 @@ func (a *app) runPass(pass int) {
 		var msg [9]byte
 		msg[0] = doneKind
 		binary.LittleEndian.PutUint64(msg[1:], uint64(a.sentTo[dst].Load()))
-		a.tr.Send(dst, msg[:], 0)
+		lcw.Send(a.c.Thread(0), dst, msg[:])
 	}
 
 	// Serve until this rank has received everything addressed to it.
-	// Every device must be progressed: peers address their batches to the
-	// endpoint matching their sending thread.
+	// Every thread must be progressed: peers address their batches to the
+	// resources matching their sending thread.
 	p := pass - 1
 	for a.dones[p].Load() < int32(a.n-1) || a.recvCount[p].Load() < a.expected[p].Load() {
 		if a.serveAll() == 0 {
 			runtime.Gosched()
 		}
 	}
-	if a.cfg.DedicatedProgress && a.cfg.Threads > 1 {
-		close(stopProgress)
-		progressWG.Wait()
-	}
 }
 
-// serveAll progresses every worker thread's resources once.
+// serveAll progresses every worker thread's resources once, from the
+// calling goroutine (the workers have returned).
 func (a *app) serveAll() int {
 	n := 0
 	for tid := 0; tid < a.cfg.Threads; tid++ {
-		n += a.tr.Serve(tid)
+		n += a.c.Thread(tid).Progress()
 	}
 	return n
 }
@@ -305,7 +277,7 @@ func (a *app) barrier(k int) {
 		if dst == a.rank {
 			continue
 		}
-		a.tr.Send(dst, []byte{kindBarrier}, 0)
+		lcw.Send(a.c.Thread(0), dst, []byte{kindBarrier})
 	}
 	for a.barriers.Load() < int32(k*(a.n-1)) {
 		if a.serveAll() == 0 {

@@ -7,9 +7,7 @@ import (
 
 	"lci"
 	"lci/internal/kmer"
-	"lci/internal/netsim/fabric"
-	"lci/internal/netsim/nic"
-	"lci/internal/rpc"
+	"lci/internal/lcw"
 )
 
 func TestKmerEncodeDecodeRoundTrip(t *testing.T) {
@@ -118,6 +116,37 @@ func TestBloomTwoLayerSemantics(t *testing.T) {
 	}
 }
 
+// TestBloomConcurrentInsertsPromote: two goroutines insert the same
+// k-mers at the same time, so every k-mer is inserted exactly twice, and
+// each must then be in layer two — whichever insert came second has to
+// observe the first one's layer-one bits.
+func TestBloomConcurrentInsertsPromote(t *testing.T) {
+	const kmers = 20_000
+	for round := 0; round < 8; round++ {
+		b := kmer.NewBloom(kmers*64, 4)
+		km := func(i int) kmer.Kmer { return kmer.Kmer{Lo: uint64(i) * 0x9e3779b97f4a7c15, Hi: uint64(round)} }
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < kmers; i++ {
+					b.Insert(km(i))
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i := 0; i < kmers; i++ {
+			if !b.SeenTwice(km(i)) {
+				t.Fatalf("round %d: k-mer %d inserted twice is not in layer two", round, i)
+			}
+		}
+	}
+}
+
 func TestCountMapBasic(t *testing.T) {
 	m := kmer.NewCountMap(1000)
 	a := kmer.Kmer{Lo: 1}
@@ -201,22 +230,24 @@ func smallConfig(threads int) kmer.Config {
 	}
 }
 
-func runKmerLCI(t *testing.T, ranks, threads int) []kmer.Result {
+// runKmer runs the pipeline over the given backend: LCI and MPIX with a
+// device / VCI per thread, GASNet and MPI shared.
+func runKmer(t *testing.T, kind lcw.Kind, ranks, threads int) []kmer.Result {
 	t.Helper()
 	cfg := smallConfig(threads)
-	world := lci.NewWorld(ranks)
+	job, err := lcw.NewJob(lcw.Config{
+		Kind: kind, Ranks: ranks, ThreadsPerRank: threads,
+		Dedicated: kind == lcw.LCI || kind == lcw.MPIX,
+	}, lci.SimExpanse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Close()
 	results := make([]kmer.Result, ranks)
-	err := world.Launch(func(rt *lci.Runtime) error {
-		tr, err := rpc.NewLCITransport(rt, threads)
-		if err != nil {
-			return err
-		}
-		res, err := kmer.Run(tr, cfg)
-		if err != nil {
-			return err
-		}
-		results[rt.Rank()] = res
-		return nil
+	err = job.Launch(func(c *lcw.Comm) error {
+		res, err := kmer.Run(c, cfg)
+		results[c.Rank()] = res
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,41 +286,25 @@ func checkAgainstOracle(t *testing.T, results []kmer.Result, cfg kmer.Config) {
 }
 
 func TestKmerPipelineLCIMatchesOracle(t *testing.T) {
-	results := runKmerLCI(t, 3, 2)
-	checkAgainstOracle(t, results, smallConfig(2))
+	checkAgainstOracle(t, runKmer(t, lcw.LCI, 3, 2), smallConfig(2))
 }
 
 func TestKmerPipelineGASNetMatchesOracle(t *testing.T) {
-	const ranks, threads = 3, 2
-	cfg := smallConfig(threads)
-	fab := fabric.New(fabric.Config{NumRanks: ranks})
-	plat := lci.SimExpanse()
-	trs := make([]*rpc.GASNetTransport, ranks)
-	for r := 0; r < ranks; r++ {
-		trs[r] = rpc.NewGASNetTransport(nic.NewDomain(fab, r, plat.Provider))
+	checkAgainstOracle(t, runKmer(t, lcw.GASNET, 3, 2), smallConfig(2))
+}
+
+// TestKmerPipelineMPIMatchesOracle runs the pipeline over the MPI
+// baseline with one VCI and with a VCI per thread: the coalescer path
+// the GASNet test covers, over per-thread receive pools.
+func TestKmerPipelineMPIMatchesOracle(t *testing.T) {
+	for _, kind := range []lcw.Kind{lcw.MPI, lcw.MPIX} {
+		t.Run(kind.String(), func(t *testing.T) {
+			checkAgainstOracle(t, runKmer(t, kind, 3, 2), smallConfig(2))
+		})
 	}
-	results := make([]kmer.Result, ranks)
-	var wg sync.WaitGroup
-	errs := make([]error, ranks)
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			res, err := kmer.Run(trs[r], cfg)
-			results[r], errs[r] = res, err
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkAgainstOracle(t, results, cfg)
 }
 
 func TestKmerSingleRankSingleThread(t *testing.T) {
 	// The "reference implementation" shape: one rank, one thread.
-	results := runKmerLCI(t, 1, 1)
-	checkAgainstOracle(t, results, smallConfig(1))
+	checkAgainstOracle(t, runKmer(t, lcw.LCI, 1, 1), smallConfig(1))
 }

@@ -4,13 +4,16 @@ import (
 	"fmt"
 
 	"lci"
-	"lci/internal/core"
 )
 
 // NewJob builds a job for any backend kind on the given simulated
-// platform. This is the entry point the benchmark harness uses so that
-// every library runs the identical benchmark code (§6.2).
+// platform. It is the one construction path: the benchmark harness and
+// the applications alike get every library from here, so all of them
+// run the identical client code (§6.2).
 func NewJob(cfg Config, platform lci.Platform) (*Job, error) {
+	if cfg.Ranks < 1 || cfg.ThreadsPerRank < 1 {
+		return nil, fmt.Errorf("lcw: need at least 1 rank and 1 thread")
+	}
 	if cfg.Devices > 0 && cfg.Kind != LCI {
 		return nil, fmt.Errorf("lcw: the Devices pool knob is LCI-only (%v has no device pool)", cfg.Kind)
 	}
@@ -24,11 +27,11 @@ func NewJob(cfg Config, platform lci.Platform) (*Job, error) {
 	}
 	switch cfg.Kind {
 	case LCI:
-		return NewLCIJob(cfg, platform, core.Config{})
+		return newLCIJob(cfg, platform)
 	case MPI, MPIX:
-		return NewMPIJob(cfg, cfg.Kind, platform.Provider)
+		return newMPIJob(cfg, platform.Provider)
 	case GASNET:
-		return NewGASNetJob(cfg, platform.Provider)
+		return newGASNetJob(cfg, platform.Provider)
 	default:
 		return nil, fmt.Errorf("lcw: unknown backend kind %v", cfg.Kind)
 	}

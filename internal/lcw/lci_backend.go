@@ -4,23 +4,25 @@ import (
 	"fmt"
 
 	"lci"
-	"lci/internal/base"
 	"lci/internal/comp"
 	"lci/internal/core"
 	"lci/internal/packet"
 )
 
-// NewLCIJob builds an LCW job over this repository's LCI library.
-// Thread i of each rank registers a completion queue whose remote handle
-// is identical on every rank (registration happens in thread order during
-// setup). The rank's runtime is built with a device pool sized by
-// cfg.Devices (explicit pool) or cfg.Dedicated (one device per thread,
-// the paper's fully dedicated layout); thread t pins to pool device
-// t % devices and addresses the peer's same-index endpoint.
-func NewLCIJob(cfg Config, platform lci.Platform, coreCfg core.Config) (*Job, error) {
-	if cfg.Ranks < 1 || cfg.ThreadsPerRank < 1 {
-		return nil, fmt.Errorf("lcw: need at least 1 rank and 1 thread")
-	}
+// workerSlabBytes caps the packet memory each registered worker
+// pre-allocates: small-packet microbenchmark jobs keep the library's
+// default quota, while 8 KiB application packets get 256 per worker
+// instead of multiplying 8 MiB slabs by every thread and device.
+const workerSlabBytes = 2 << 20
+
+// newLCIJob builds an LCW job over this repository's LCI library. Each
+// rank registers one remote handler (the same handle on every rank,
+// registration being symmetric) that hands arrivals to the rank's sink
+// from inside device progress. The rank's runtime is built with a device
+// pool sized by cfg.Devices (explicit pool) or cfg.Dedicated (one device
+// per thread, the paper's fully dedicated layout); thread t pins to pool
+// device t % devices and addresses the peer's same-index endpoint.
+func newLCIJob(cfg Config, platform lci.Platform) (*Job, error) {
 	devices := cfg.Devices
 	if devices <= 0 {
 		if cfg.Dedicated {
@@ -32,43 +34,31 @@ func NewLCIJob(cfg Config, platform lci.Platform, coreCfg core.Config) (*Job, er
 	if devices > cfg.ThreadsPerRank {
 		return nil, fmt.Errorf("lcw: %d devices exceed %d threads per rank", devices, cfg.ThreadsPerRank)
 	}
-	_, packetSize, preRecvs := cfg.sizing()
-	if coreCfg.PacketSize == 0 {
-		coreCfg.PacketSize = packetSize
-	}
-	if coreCfg.PreRecvs == 0 {
-		coreCfg.PreRecvs = preRecvs
-	}
-	// Like the other knobs, an explicit runtime pool size wins; it just
-	// cannot be smaller than the thread→device layout needs.
-	if coreCfg.NumDevices == 0 {
-		coreCfg.NumDevices = devices
-	} else if coreCfg.NumDevices < devices {
-		return nil, fmt.Errorf("lcw: runtime pool of %d devices is smaller than the %d the layout needs", coreCfg.NumDevices, devices)
-	}
-	if coreCfg.Topology == nil {
-		coreCfg.Topology = cfg.Topology
-	}
-	if coreCfg.Placement == nil {
-		coreCfg.Placement = cfg.Placement
+	maxAM, packetSize, preRecvs := cfg.sizing()
+	coreCfg := core.Config{
+		PacketSize:       packetSize,
+		PreRecvs:         preRecvs,
+		PacketsPerWorker: min(packet.DefaultPacketsPerWorker, workerSlabBytes/packetSize),
+		NumDevices:       devices,
+		Topology:         cfg.Topology,
+		Placement:        cfg.Placement,
 	}
 	world := lci.NewWorld(cfg.Ranks, lci.WithPlatform(platform), lci.WithRuntimeConfig(coreCfg))
-	j := &Job{cfg: cfg, fab: world.Fabric()}
+	j := &Job{cfg: cfg}
 	for r := 0; r < cfg.Ranks; r++ {
 		rt, err := world.NewRuntime(r)
 		if err != nil {
 			return nil, err
 		}
-		c := &lciComm{job: j, rt: rt, threads: make([]*lciThread, cfg.ThreadsPerRank)}
+		c := &Comm{rank: r, nranks: cfg.Ranks, maxAM: maxAM, rt: rt}
+		handler := rt.RegisterHandler(func(st lci.Status) { c.sink(st.Rank, st.Buffer) })
 		for t := 0; t < cfg.ThreadsPerRank; t++ {
 			th := &lciThread{
-				comm:    c,
+				rt:      rt,
 				idx:     t,
-				amq:     comp.NewQueue(),
 				sendCnt: comp.NewCounter(),
 				recvCnt: comp.NewCounter(),
 			}
-			th.rcomp = rt.RegisterRComp(th.amq)
 			if coreCfg.Topology.Single() {
 				th.worker = rt.RegisterWorker()
 				th.dev = rt.Device(t % devices)
@@ -86,35 +76,21 @@ func NewLCIJob(cfg Config, platform lci.Platform, coreCfg core.Config) (*Job, er
 				th.dev = aff.Device()
 			}
 			th.opts = core.Options{
-				Device: th.dev, Worker: th.worker,
+				Device: th.dev, Worker: th.worker, RComp: handler,
 				RemoteDevice: th.dev.Index(), RemoteDeviceSet: true,
 			}
-			c.threads[t] = th
+			c.threads = append(c.threads, th)
 		}
 		j.comms = append(j.comms, c)
 	}
 	return j, nil
 }
 
-type lciComm struct {
-	job     *Job
-	rt      *lci.Runtime
-	threads []*lciThread
-}
-
-func (c *lciComm) Rank() int              { return c.rt.Rank() }
-func (c *lciComm) NumRanks() int          { return c.rt.NumRanks() }
-func (c *lciComm) Thread(i int) Thread    { return c.threads[i] }
-func (c *lciComm) SupportsSendRecv() bool { return true }
-func (c *lciComm) Close() error           { return c.rt.Close() }
-
 type lciThread struct {
-	comm          *lciComm
+	rt            *lci.Runtime
 	idx           int
 	dev           *lci.Device
 	worker        *packet.Worker
-	amq           *comp.Queue   // incoming AMs (one CQ per thread, as in Fig. 4's setup)
-	rcomp         base.RComp    // this thread's AM target handle (symmetric across ranks)
 	sendCnt       *comp.Counter // completed two-sided sends
 	recvCnt       *comp.Counter
 	sendLocalDone int64 // sends completed inline (inject path)
@@ -124,36 +100,33 @@ type lciThread struct {
 	// functional-option rendering (lci.WithDevice, ...) allocates a slice
 	// and closures per call, which the per-message fast path cannot afford.
 	opts core.Options
+
+	// The record path (set by Records): this thread's aggregation handle
+	// on its own device column. Progress then polls the aggregator.
+	ag *lci.Aggregator
+	at *lci.AggThread
 }
 
 func (t *lciThread) SendAM(dst int, data []byte) bool {
-	o := t.opts
-	o.RComp = t.rcomp
-	st, err := t.comm.rt.Core().PostAM(dst, data, t.idx, nil, o)
+	st, err := t.rt.Core().PostAM(dst, data, t.idx, nil, t.opts)
 	if err != nil {
 		panic(fmt.Sprintf("lcw/lci: PostAM: %v", err))
 	}
 	return !st.IsRetry()
 }
 
-func (t *lciThread) PollAM() (Message, bool) {
-	if st, ok := t.amq.Pop(); ok {
-		return Message{Src: st.Rank, Data: st.Buffer}, true
+func (t *lciThread) Progress() int {
+	if t.at != nil {
+		// Polling through the aggregator progresses the same device and
+		// also advances the column's age-flush epoch and retries batches
+		// the network refused.
+		return t.ag.Poll(t.at)
 	}
-	// Progress reports how many completions it handled; when the round was
-	// empty there is nothing to pop, so the miss path is one queue peek and
-	// one progress round.
-	if t.dev.ProgressW(t.worker) == 0 {
-		return Message{}, false
-	}
-	if st, ok := t.amq.Pop(); ok {
-		return Message{Src: st.Rank, Data: st.Buffer}, true
-	}
-	return Message{}, false
+	return t.dev.ProgressW(t.worker)
 }
 
 func (t *lciThread) Send(dst int, data []byte) bool {
-	st, err := t.comm.rt.Core().PostSend(dst, data, t.idx, t.sendCnt, t.opts)
+	st, err := t.rt.Core().PostSend(dst, data, t.idx, t.sendCnt, t.opts)
 	if err != nil {
 		panic(fmt.Sprintf("lcw/lci: PostSend: %v", err))
 	}
@@ -169,7 +142,7 @@ func (t *lciThread) Send(dst int, data []byte) bool {
 func (t *lciThread) SendsDone() int64 { return t.sendCnt.Load() + t.sendLocalDone }
 
 func (t *lciThread) Recv(src int, buf []byte) bool {
-	st, err := t.comm.rt.Core().PostRecv(src, buf, t.idx, t.recvCnt, t.opts)
+	st, err := t.rt.Core().PostRecv(src, buf, t.idx, t.recvCnt, t.opts)
 	if err != nil {
 		panic(fmt.Sprintf("lcw/lci: PostRecv: %v", err))
 	}
@@ -183,5 +156,3 @@ func (t *lciThread) Recv(src int, buf []byte) bool {
 }
 
 func (t *lciThread) RecvsDone() int64 { return t.recvCnt.Load() + t.recvLocalDone }
-
-func (t *lciThread) Progress() { t.dev.ProgressW(t.worker) }

@@ -1,12 +1,14 @@
 // Package lcw is the Lightweight Communication Wrapper of the paper's
 // §6.2: a thin uniform layer over LCI, the MPI-like baseline (with and
-// without VCIs) and the GASNet-EX-like baseline, used by every
-// microbenchmark so that all libraries run the identical benchmark code.
+// without VCIs) and the GASNet-EX-like baseline. It is the one client
+// layer of the repository: the microbenchmarks run their identical
+// benchmark code over it, and the application mini-apps (k-mer counting,
+// the AMT code) run their traffic through it.
 //
-// LCW exposes nonblocking active messages and send-receive primitives.
-// Each benchmark thread holds a Thread handle; thread i of one rank
-// communicates with thread i of the peer rank. Resource layout follows
-// the paper's two thread-based modes:
+// LCW exposes active messages and nonblocking send-receive. Each
+// application thread holds a Thread handle; thread i of one rank talks to
+// thread i of the peer rank. Resource layout follows the paper's two
+// thread-based modes:
 //
 //   - dedicated: one LCI device / one MPICH VCI per thread;
 //   - shared: one set of resources for the whole rank.
@@ -15,13 +17,22 @@
 // preclude resource replication, §2.2), and only active messages (LCW's
 // send-receive is not implemented for GASNet, §6.2 — it is absent from
 // the bandwidth figure for the same reason).
+//
+// Delivery contract: every arriving active message is handed to the
+// rank's sink (Comm.SetSink) from inside Thread.Progress — an LCI remote
+// handler, a GASNet medium-AM handler, or an MPI pre-posted receive
+// completing. The payload is valid only during the sink call (the GASNet
+// medium-AM rule); the sink must not block and must be safe to call from
+// any of the rank's threads at once.
 package lcw
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
+	"lci"
 	"lci/internal/core"
-	"lci/internal/netsim/fabric"
 	"lci/internal/topo"
 )
 
@@ -108,20 +119,23 @@ func (c Config) sizing() (maxAM, packetSize, preRecvs int) {
 	return maxAM, packetSize, preRecvs
 }
 
-// Message is a received active message.
-type Message struct {
-	Src  int
-	Data []byte
-}
-
-// Thread is a per-benchmark-thread communication handle.
+// Thread is one application thread's communication handle. A handle is
+// used by one goroutine at a time: its send bookkeeping and (on MPI) its
+// receive pool are unlocked, so handing a thread index to another
+// goroutine must be ordered by the caller (a WaitGroup, a channel).
+// Different handles of one rank may be used concurrently.
 type Thread interface {
-	// SendAM posts an active message carrying data to the same-index
-	// thread of rank dst. It reports false when the post must be retried
-	// (callers typically call Progress and try again).
+	// SendAM posts an active message carrying data to rank dst; it lands
+	// in the resources of dst's same-index thread. It reports false when
+	// the post must be retried after Progress. Payloads up to the Comm's
+	// MaxAM are accepted on every backend.
 	SendAM(dst int, data []byte) bool
-	// PollAM makes progress and returns one arrived AM, if any.
-	PollAM() (Message, bool)
+	// Progress advances this thread's resources, hands each arrival to
+	// the rank's sink, and reports the work it found: the arrivals it
+	// delivered (MPI, GASNet) or the completions the LCI device round
+	// handled (arrivals and local send completions alike). Zero means
+	// the call found nothing to do.
+	Progress() int
 	// Send posts a nonblocking two-sided send to the same-index thread
 	// of dst; false = retry.
 	Send(dst int, data []byte) bool
@@ -132,35 +146,82 @@ type Thread interface {
 	Recv(src int, buf []byte) bool
 	// RecvsDone reports how many receives have completed.
 	RecvsDone() int64
-	// Progress advances the library.
-	Progress()
 }
 
-// Comm is one rank's handle: a set of threads.
-type Comm interface {
-	Rank() int
-	NumRanks() int
-	Thread(i int) Thread
-	// SupportsSendRecv reports whether Send/Recv work (false for GASNet).
-	SupportsSendRecv() bool
-	Close() error
+// Send is the blocking active-message send the applications use: it
+// posts data to dst, progressing th until the post is accepted.
+func Send(th Thread, dst int, data []byte) {
+	for !th.SendAM(dst, data) {
+		th.Progress()
+	}
 }
 
-// Job is a whole simulated run: the fabric plus one Comm per rank.
+// Comm is one rank's handle: its threads, its sink, and (on LCI) its
+// runtime.
+type Comm struct {
+	rank, nranks int
+	maxAM        int
+	threads      []Thread
+	// sink receives every arrival; set by SetSink before any thread of
+	// this rank progresses, read by the backends' delivery paths.
+	sink func(src int, data []byte)
+	// rt is the LCI backend's runtime (nil for the baselines): Close
+	// releases it and Records builds its aggregator over it.
+	rt *lci.Runtime
+}
+
+// Rank returns this rank's index.
+func (c *Comm) Rank() int { return c.rank }
+
+// NumRanks returns the job size.
+func (c *Comm) NumRanks() int { return c.nranks }
+
+// Thread returns thread i's handle.
+func (c *Comm) Thread(i int) Thread { return c.threads[i] }
+
+// MaxAM returns the largest SendAM payload every backend accepts.
+func (c *Comm) MaxAM() int { return c.maxAM }
+
+// SetSink registers the function every arriving active message is
+// delivered to (see the package delivery contract). Call it once, before
+// any thread of this rank sends or progresses.
+func (c *Comm) SetSink(fn func(src int, data []byte)) { c.sink = fn }
+
+// Close releases the rank's resources.
+func (c *Comm) Close() error {
+	if c.rt != nil {
+		return c.rt.Close()
+	}
+	return nil
+}
+
+// Job is a whole simulated run: one Comm per rank over one fabric.
 type Job struct {
 	cfg   Config
-	fab   *fabric.Fabric
-	comms []Comm
+	comms []*Comm
 }
 
 // Comm returns rank's communication handle.
-func (j *Job) Comm(rank int) Comm { return j.comms[rank] }
+func (j *Job) Comm(rank int) *Comm { return j.comms[rank] }
 
 // Config returns the job configuration.
 func (j *Job) Config() Config { return j.cfg }
 
-// Fabric exposes the underlying fabric (diagnostics).
-func (j *Job) Fabric() *fabric.Fabric { return j.fab }
+// Launch runs fn once per rank, each on its own goroutine, and returns
+// when every call has returned, joining their errors.
+func (j *Job) Launch(fn func(c *Comm) error) error {
+	errs := make([]error, len(j.comms))
+	var wg sync.WaitGroup
+	for r, c := range j.comms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = fn(c)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
 
 // Close closes every rank's Comm.
 func (j *Job) Close() error {

@@ -2,9 +2,11 @@ package lcw_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,48 +14,82 @@ import (
 	"lci/internal/lcw"
 )
 
-// testDeadline bounds one ping-pong phase. Generous versus the
+// testDeadline bounds one communication phase. Generous versus the
 // milliseconds a healthy run takes, small enough that a livelocked
 // configuration fails the suite instead of hanging it.
 const testDeadline = 10 * time.Second
 
-// pingPongOnce runs a tiny AM ping-pong across every thread pair of a
-// freshly built job and verifies payload integrity.
-func pingPongOnce(t *testing.T, cfg lcw.Config, platform lci.Platform) {
+// backend is one row of the all-backends table: a library in one of the
+// resource modes it supports.
+type backend struct {
+	kind      lcw.Kind
+	dedicated bool
+}
+
+func (b backend) String() string { return fmt.Sprintf("%s/dedicated=%v", b.kind, b.dedicated) }
+
+var allBackends = []backend{
+	{lcw.LCI, true},
+	{lcw.LCI, false},
+	{lcw.MPI, false},
+	{lcw.MPIX, true},
+	{lcw.GASNET, false},
+}
+
+func newJob(t *testing.T, cfg lcw.Config, platform lci.Platform) *lcw.Job {
 	t.Helper()
 	job, err := lcw.NewJob(cfg, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer job.Close()
+	t.Cleanup(func() { job.Close() })
+	return job
+}
+
+// progressUntil progresses h until done holds, yielding to the scheduler
+// on misses: on a single-core runner an unyielding spin burns a whole
+// preemption quantum (~10ms) per handoff and turns a millisecond test
+// into minutes. The deadline is checked only every few hundred misses —
+// time.Now per poll would dominate the loop.
+func progressUntil(h lcw.Thread, deadline time.Time, done func() bool) bool {
+	for miss := 0; !done(); miss++ {
+		if h.Progress() == 0 && miss&15 == 15 {
+			runtime.Gosched()
+		}
+		if miss&255 == 255 && time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// pingPongOnce runs a tiny AM ping-pong across every thread pair of a
+// freshly built job and verifies payload integrity. Payloads carry the
+// addressee's thread index, by which each rank's sink counts arrivals.
+func pingPongOnce(t *testing.T, cfg lcw.Config, platform lci.Platform) {
+	t.Helper()
+	job := newJob(t, cfg, platform)
 
 	iters := 50
 	if testing.Short() {
 		iters = 10
 	}
+	var bad atomic.Int64
+	got := make([][]atomic.Int64, 2)
+	for r := 0; r < 2; r++ {
+		got[r] = make([]atomic.Int64, cfg.ThreadsPerRank)
+		job.Comm(r).SetSink(func(src int, data []byte) {
+			tid := int(data[0])
+			if src != 1-r || string(data[1:]) != fmt.Sprintf("r%dt%d", src, tid) {
+				bad.Add(1)
+			}
+			got[r][tid].Add(1)
+		})
+	}
+
 	var wg sync.WaitGroup
 	errCh := make(chan error, 2*cfg.ThreadsPerRank)
 	deadline := time.Now().Add(testDeadline)
-
-	// pollUntil spins on PollAM, yielding to the scheduler on misses: on a
-	// single-core runner an unyielding spin burns a whole preemption
-	// quantum (~10ms) per handoff and turns a millisecond test into
-	// minutes. The deadline is checked only every few hundred misses —
-	// time.Now per poll would dominate the loop.
-	pollUntil := func(h lcw.Thread) (lcw.Message, bool) {
-		for miss := 0; ; miss++ {
-			if m, ok := h.PollAM(); ok {
-				return m, true
-			}
-			if miss&15 == 15 {
-				runtime.Gosched()
-			}
-			if miss&255 == 255 && time.Now().After(deadline) {
-				return lcw.Message{}, false
-			}
-		}
-	}
-
 	for r := 0; r < 2; r++ {
 		for th := 0; th < cfg.ThreadsPerRank; th++ {
 			wg.Add(1)
@@ -61,27 +97,17 @@ func pingPongOnce(t *testing.T, cfg lcw.Config, platform lci.Platform) {
 				defer wg.Done()
 				h := job.Comm(rank).Thread(tid)
 				peer := 1 - rank
-				msg := []byte(fmt.Sprintf("r%dt%d", rank, tid))
-				want := fmt.Sprintf("r%dt%d", peer, tid)
+				msg := append([]byte{byte(tid)}, fmt.Sprintf("r%dt%d", rank, tid)...)
 				for i := 0; i < iters; i++ {
 					if rank == 0 {
-						for !h.SendAM(peer, msg) {
-							h.Progress()
-						}
+						lcw.Send(h, peer, msg)
 					}
-					m, ok := pollUntil(h)
-					if !ok {
+					if !progressUntil(h, deadline, func() bool { return got[rank][tid].Load() > int64(i) }) {
 						errCh <- fmt.Errorf("rank%d thread %d timed out at iter %d", rank, tid, i)
 						return
 					}
-					if string(m.Data) != want {
-						errCh <- fmt.Errorf("rank%d thread %d got %q want %q", rank, tid, m.Data, want)
-						return
-					}
 					if rank == 1 {
-						for !h.SendAM(peer, msg) {
-							h.Progress()
-						}
+						lcw.Send(h, peer, msg)
 					}
 				}
 			}(r, th)
@@ -92,28 +118,210 @@ func pingPongOnce(t *testing.T, cfg lcw.Config, platform lci.Platform) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d corrupt or misrouted payloads", n)
+	}
 }
 
 func TestAMPingPongAllBackends(t *testing.T) {
 	for _, plat := range lci.Platforms() {
-		for _, tc := range []struct {
-			kind      lcw.Kind
-			dedicated bool
-		}{
-			{lcw.LCI, true},
-			{lcw.LCI, false},
-			{lcw.MPI, false},
-			{lcw.MPIX, true},
-			{lcw.GASNET, false},
-		} {
-			name := fmt.Sprintf("%s/%s/dedicated=%v", plat.Name, tc.kind, tc.dedicated)
-			t.Run(name, func(t *testing.T) {
+		for _, b := range allBackends {
+			t.Run(plat.Name+"/"+b.String(), func(t *testing.T) {
 				pingPongOnce(t, lcw.Config{
-					Kind: tc.kind, Ranks: 2, ThreadsPerRank: 4, Dedicated: tc.dedicated,
+					Kind: b.kind, Ranks: 2, ThreadsPerRank: 4, Dedicated: b.dedicated,
 				}, plat)
 			})
 		}
 	}
+}
+
+// TestSendRoundTripAllBackends floods blocking Sends in both directions
+// from two threads per rank (no ping-pong pairing) and verifies that
+// every payload reaches the peer's sink intact.
+func TestSendRoundTripAllBackends(t *testing.T) {
+	const threads, msgs = 2, 40
+	for _, b := range allBackends {
+		t.Run(b.String(), func(t *testing.T) {
+			job := newJob(t, lcw.Config{Kind: b.kind, Ranks: 2, ThreadsPerRank: threads, Dedicated: b.dedicated}, lci.SimExpanse())
+			var got, bad [2]atomic.Int64
+			for r := 0; r < 2; r++ {
+				job.Comm(r).SetSink(func(src int, payload []byte) {
+					if src != 1-r || len(payload) != 24 || payload[0] != byte('A'+1-r) {
+						bad[r].Add(1)
+					}
+					got[r].Add(1)
+				})
+			}
+			deadline := time.Now().Add(testDeadline)
+			var wg sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				for tid := 0; tid < threads; tid++ {
+					wg.Add(1)
+					go func(r, tid int) {
+						defer wg.Done()
+						h := job.Comm(r).Thread(tid)
+						payload := make([]byte, 24)
+						payload[0] = byte('A' + r)
+						for i := 0; i < msgs/threads; i++ {
+							lcw.Send(h, 1-r, payload)
+							h.Progress()
+						}
+						// Progress until both directions drain: an arrival
+						// lands in the same-index thread's resources.
+						progressUntil(h, deadline, func() bool { return got[0].Load() >= msgs && got[1].Load() >= msgs })
+					}(r, tid)
+				}
+			}
+			wg.Wait()
+			for r := 0; r < 2; r++ {
+				if got[r].Load() != msgs {
+					t.Errorf("rank %d delivered %d of %d payloads", r, got[r].Load(), msgs)
+				}
+				if bad[r].Load() != 0 {
+					t.Errorf("rank %d saw %d corrupt payloads", r, bad[r].Load())
+				}
+			}
+		})
+	}
+}
+
+// progressAll progresses every thread of every rank until done holds or
+// the deadline passes; the caller owns all thread handles.
+func progressAll(job *lcw.Job, done func() bool) {
+	deadline := time.Now().Add(testDeadline)
+	cfg := job.Config()
+	for !done() && time.Now().Before(deadline) {
+		n := 0
+		for r := 0; r < cfg.Ranks; r++ {
+			for tid := 0; tid < cfg.ThreadsPerRank; tid++ {
+				n += job.Comm(r).Thread(tid).Progress()
+			}
+		}
+		if n == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestRecordsAllBackends drives the aggregated record path (native
+// internal/agg on LCI, the generic coalescer elsewhere) on every backend:
+// many small records in both directions interleaved with raw control
+// sends, an explicit FlushRecords before the control message that counts
+// on them having been sent, and a drain loop verifying nothing is lost,
+// corrupt, or misrouted between the two sinks.
+func TestRecordsAllBackends(t *testing.T) {
+	const threads = 2
+	const recs = 600 // per rank; divisible by threads
+	const ctrlKind = 0x01
+	for _, b := range allBackends {
+		t.Run(b.String(), func(t *testing.T) {
+			job := newJob(t, lcw.Config{Kind: b.kind, Ranks: 2, ThreadsPerRank: threads, Dedicated: b.dedicated}, lci.SimExpanse())
+			var gotRecs, badRecs, gotCtrl [2]atomic.Int64
+			rss := make([]lcw.RecordSender, 2)
+			for r := 0; r < 2; r++ {
+				rss[r] = lcw.Records(job.Comm(r), 256,
+					func(src int, rec []byte) {
+						if src != 1-r || len(rec) != 6 || rec[0] != byte('A'+1-r) {
+							badRecs[r].Add(1)
+						}
+						gotRecs[r].Add(1)
+					},
+					func(src int, payload []byte) {
+						if src != 1-r || len(payload) != 1 || payload[0] != ctrlKind {
+							badRecs[r].Add(1)
+						}
+						gotCtrl[r].Add(1)
+					})
+			}
+
+			var wg sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				for tid := 0; tid < threads; tid++ {
+					wg.Add(1)
+					go func(r, tid int) {
+						defer wg.Done()
+						rec := make([]byte, 6)
+						rec[0] = byte('A' + r)
+						for i := 0; i < recs/threads; i++ {
+							binary.LittleEndian.PutUint32(rec[1:5], uint32(i))
+							rss[r].SendRecord(1-r, rec, tid)
+							if i%64 == 0 {
+								job.Comm(r).Thread(tid).Progress()
+							}
+						}
+					}(r, tid)
+				}
+			}
+			wg.Wait()
+			for r := 0; r < 2; r++ {
+				rss[r].FlushRecords(0)
+				lcw.Send(job.Comm(r).Thread(0), 1-r, []byte{ctrlKind})
+			}
+			progressAll(job, func() bool {
+				return gotRecs[0].Load() >= recs && gotRecs[1].Load() >= recs &&
+					gotCtrl[0].Load() >= 1 && gotCtrl[1].Load() >= 1
+			})
+
+			for r := 0; r < 2; r++ {
+				if gotRecs[r].Load() != recs {
+					t.Errorf("rank %d delivered %d of %d records", r, gotRecs[r].Load(), recs)
+				}
+				if gotCtrl[r].Load() != 1 {
+					t.Errorf("rank %d delivered %d of 1 control payloads", r, gotCtrl[r].Load())
+				}
+				if badRecs[r].Load() != 0 {
+					t.Errorf("rank %d saw %d corrupt or misrouted deliveries", r, badRecs[r].Load())
+				}
+			}
+		})
+	}
+}
+
+// TestRecordsBatchFitsTransport: the generic coalescer clamps its batches
+// to MaxAM, so an 8 KiB aggregation size — above the default MaxAM of
+// 8128 bytes and GASNet's 8184-byte medium AM — still delivers every
+// record.
+func TestRecordsBatchFitsTransport(t *testing.T) {
+	for _, kind := range []lcw.Kind{lcw.GASNET, lcw.MPI} {
+		t.Run(kind.String(), func(t *testing.T) {
+			job := newJob(t, lcw.Config{Kind: kind, Ranks: 2, ThreadsPerRank: 1}, lci.SimExpanse())
+			const recs, recLen = 1000, 61 // 130 frames + magic = 8191 B
+			var got, bad atomic.Int64
+			ignore := func(int, []byte) {}
+			rs := lcw.Records(job.Comm(0), 8192, ignore, ignore)
+			lcw.Records(job.Comm(1), 8192, func(src int, rec []byte) {
+				if src != 0 || len(rec) != recLen || rec[0] != 0xCC {
+					bad.Add(1)
+				}
+				got.Add(1)
+			}, ignore)
+			rec := make([]byte, recLen)
+			rec[0] = 0xCC
+			for i := 0; i < recs; i++ {
+				rs.SendRecord(1, rec, 0)
+				if i%16 == 0 {
+					job.Comm(1).Thread(0).Progress()
+				}
+			}
+			rs.FlushRecords(0)
+			progressAll(job, func() bool { return got.Load() >= recs })
+			if got.Load() != recs || bad.Load() != 0 {
+				t.Fatalf("delivered %d of %d records (%d corrupt)", got.Load(), recs, bad.Load())
+			}
+		})
+	}
+}
+
+// TestMPIRejectsOversizeAM pins the MPI backend's payload ceiling: its
+// pre-posted receives hold MaxAM bytes, so a larger AM is a caller bug.
+func TestMPIRejectsOversizeAM(t *testing.T) {
+	job := newJob(t, lcw.Config{Kind: lcw.MPI, Ranks: 2, ThreadsPerRank: 1}, lci.SimExpanse())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for oversized payload")
+		}
+	}()
+	job.Comm(0).Thread(0).SendAM(1, make([]byte, job.Comm(0).MaxAM()+1))
 }
 
 func TestSendRecvBackends(t *testing.T) {
@@ -121,28 +329,15 @@ func TestSendRecvBackends(t *testing.T) {
 	if testing.Short() {
 		sizes = []int{8, 65536} // keep one eager and one rendezvous size
 	}
-	for _, tc := range []struct {
-		kind      lcw.Kind
-		dedicated bool
-	}{
-		{lcw.LCI, true},
-		{lcw.LCI, false},
-		{lcw.MPI, false},
-		{lcw.MPIX, true},
-	} {
+	for _, b := range allBackends {
+		if b.kind == lcw.GASNET {
+			continue // no send-recv (§6.2)
+		}
 		for _, size := range sizes {
-			name := fmt.Sprintf("%s/dedicated=%v/size=%d", tc.kind, tc.dedicated, size)
-			t.Run(name, func(t *testing.T) {
-				job, err := lcw.NewJob(lcw.Config{
-					Kind: tc.kind, Ranks: 2, ThreadsPerRank: 2, Dedicated: tc.dedicated,
+			t.Run(fmt.Sprintf("%s/size=%d", b, size), func(t *testing.T) {
+				job := newJob(t, lcw.Config{
+					Kind: b.kind, Ranks: 2, ThreadsPerRank: 2, Dedicated: b.dedicated,
 				}, lci.SimExpanse())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer job.Close()
-				if !job.Comm(0).SupportsSendRecv() {
-					t.Skip("backend has no send-recv")
-				}
 
 				iters := 20
 				if testing.Short() {
@@ -170,15 +365,9 @@ func TestSendRecvBackends(t *testing.T) {
 								for !h.Send(peer, out) {
 									h.Progress()
 								}
-								for miss := 0; h.RecvsDone() < int64(i+1); miss++ {
-									h.Progress()
-									if miss&15 == 15 {
-										runtime.Gosched()
-									}
-									if miss&255 == 255 && time.Now().After(deadline) {
-										errCh <- fmt.Errorf("rank %d thread %d stuck at iter %d", rank, tid, i)
-										return
-									}
+								if !progressUntil(h, deadline, func() bool { return h.RecvsDone() > int64(i) }) {
+									errCh <- fmt.Errorf("rank %d thread %d stuck at iter %d", rank, tid, i)
+									return
 								}
 								want := make([]byte, size)
 								for k := range want {
@@ -189,12 +378,7 @@ func TestSendRecvBackends(t *testing.T) {
 									return
 								}
 							}
-							for miss := 0; h.SendsDone() < int64(iters); miss++ {
-								h.Progress()
-								if miss&15 == 15 {
-									runtime.Gosched()
-								}
-							}
+							progressUntil(h, deadline, func() bool { return h.SendsDone() >= int64(iters) })
 						}(r, tid)
 					}
 				}

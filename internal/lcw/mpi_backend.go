@@ -21,21 +21,20 @@ const maxOutstandingSends = 256
 func amTagOf(thread int) int { return 2 * thread }
 func srTagOf(thread int) int { return 2*thread + 1 }
 
-// NewMPIJob builds an LCW job over the MPI-like baseline. kind selects
-// standard MPI (one VCI) or MPIX (one VCI per thread in dedicated mode).
-// The benchmark assertions of §6.2 (no AnyTag, allow overtaking, no
-// global progress) are always applied, as in the paper.
-func NewMPIJob(cfg Config, kind Kind, prov nic.Config) (*Job, error) {
-	if kind != MPI && kind != MPIX {
-		return nil, fmt.Errorf("lcw: NewMPIJob wants MPI or MPIX, got %v", kind)
-	}
+// newMPIJob builds an LCW job over the MPI-like baseline: standard MPI
+// (one VCI) or MPIX (one VCI per thread in dedicated mode). Active
+// messages travel as Isends into per-thread pools of pre-posted
+// wildcard-source Irecvs. The benchmark assertions of §6.2 (no AnyTag,
+// allow overtaking, no global progress) are always applied, as in the
+// paper.
+func newMPIJob(cfg Config, prov nic.Config) (*Job, error) {
 	numVCIs := 1
-	if kind == MPIX && cfg.Dedicated {
+	if cfg.Kind == MPIX && cfg.Dedicated {
 		numVCIs = cfg.ThreadsPerRank
 	}
 	maxAM, packetSize, preRecvs := cfg.sizing()
 	fab := fabric.New(fabric.Config{NumRanks: cfg.Ranks})
-	j := &Job{cfg: cfg, fab: fab}
+	j := &Job{cfg: cfg}
 	for r := 0; r < cfg.Ranks; r++ {
 		m := mpibase.New(nic.NewDomain(fab, r, prov), mpibase.Config{
 			NumVCIs:               numVCIs,
@@ -44,9 +43,9 @@ func NewMPIJob(cfg Config, kind Kind, prov nic.Config) (*Job, error) {
 			PacketSize:            packetSize,
 			PreRecvs:              preRecvs,
 		})
-		c := &mpiComm{m: m, threads: make([]*mpiThread, cfg.ThreadsPerRank)}
+		c := &Comm{rank: r, nranks: cfg.Ranks, maxAM: maxAM}
 		for t := 0; t < cfg.ThreadsPerRank; t++ {
-			th := &mpiThread{comm: c, idx: t, comm16: t}
+			th := &mpiThread{m: m, c: c, idx: t, comm16: t}
 			if !cfg.Dedicated {
 				// Shared mode: all threads use communicator 0, hence VCI 0.
 				th.comm16 = 0
@@ -59,23 +58,12 @@ func NewMPIJob(cfg Config, kind Kind, prov nic.Config) (*Job, error) {
 				}
 				th.amRecvs = append(th.amRecvs, amSlot{req: req, buf: buf})
 			}
-			c.threads[t] = th
+			c.threads = append(c.threads, th)
 		}
 		j.comms = append(j.comms, c)
 	}
 	return j, nil
 }
-
-type mpiComm struct {
-	m       *mpibase.MPI
-	threads []*mpiThread
-}
-
-func (c *mpiComm) Rank() int              { return c.m.Rank() }
-func (c *mpiComm) NumRanks() int          { return c.m.NumRanks() }
-func (c *mpiComm) Thread(i int) Thread    { return c.threads[i] }
-func (c *mpiComm) SupportsSendRecv() bool { return true }
-func (c *mpiComm) Close() error           { return nil }
 
 type amSlot struct {
 	req *mpibase.Request
@@ -83,17 +71,27 @@ type amSlot struct {
 }
 
 type mpiThread struct {
-	comm   *mpiComm
+	m      *mpibase.MPI
+	c      *Comm
 	idx    int
 	comm16 int // communicator: thread index (dedicated) or 0 (shared)
 
-	amRecvs []amSlot // ring of pre-posted AM receives (head = oldest)
+	// amRecvs is the ring of pre-posted AM receives; amHead is the oldest.
+	// Eager arrivals match posted receives in post order, so the ring
+	// completes from its head.
+	amRecvs []amSlot
+	amHead  int
 
 	outSends  []*mpibase.Request // in-flight Isends (AM + two-sided)
 	sendsDone int64
 
 	outRecvs  []*mpibase.Request // in-flight two-sided Irecvs
 	recvsDone int64
+
+	// twoSided is set by the first Send or Recv: from then on progress
+	// also covers the VCI the two-sided tag hashes to, which AM-only
+	// threads never pay for.
+	twoSided bool
 }
 
 // reapSends retires completed sends from the front (MPI completes
@@ -113,50 +111,61 @@ func (t *mpiThread) reapRecvs() {
 	}
 }
 
-func (t *mpiThread) SendAM(dst int, data []byte) bool {
+// isend posts one Isend on the thread's communicator, first blocking
+// while maxOutstandingSends are in flight: MPI has no retry status
+// (§4.2.5), so the wrapper must block.
+func (t *mpiThread) isend(dst int, data []byte, tag int) {
 	t.reapSends()
-	m := t.comm.m
 	for len(t.outSends) >= maxOutstandingSends {
-		// MPI has no retry status (§4.2.5): the wrapper must block.
-		m.ProgressVCI(t.comm16, amTagOf(t.idx))
-		m.ProgressVCI(t.comm16, srTagOf(t.idx))
+		t.progressVCIs()
 		t.reapSends()
 	}
-	t.outSends = append(t.outSends, m.Isend(data, dst, amTagOf(t.idx), t.comm16))
+	t.outSends = append(t.outSends, t.m.Isend(data, dst, tag, t.comm16))
+}
+
+// progressVCIs progresses the VCIs this thread's traffic maps to (AM
+// and two-sided tags may hash differently).
+func (t *mpiThread) progressVCIs() {
+	t.m.ProgressVCI(t.comm16, amTagOf(t.idx))
+	if t.twoSided {
+		t.m.ProgressVCI(t.comm16, srTagOf(t.idx))
+	}
+}
+
+func (t *mpiThread) SendAM(dst int, data []byte) bool {
+	if len(data) > t.c.maxAM {
+		panic(fmt.Sprintf("lcw/mpi: AM payload %d exceeds max %d", len(data), t.c.maxAM))
+	}
+	t.isend(dst, data, amTagOf(t.idx))
 	return true
 }
 
-func (t *mpiThread) PollAM() (Message, bool) {
-	m := t.comm.m
-	head := t.amRecvs[0]
-	if !head.req.Done() {
-		m.ProgressVCI(t.comm16, amTagOf(t.idx))
-		if !head.req.Done() {
-			return Message{}, false
+// Progress delivers completed AM receives in place, in ring order, and
+// reposts each slot.
+func (t *mpiThread) Progress() int {
+	t.progressVCIs()
+	t.reapSends()
+	t.reapRecvs()
+	n := 0
+	for {
+		s := &t.amRecvs[t.amHead]
+		if !s.req.Done() {
+			return n
 		}
+		t.c.sink(s.req.Source, s.buf[:s.req.Len])
+		req, err := t.m.Irecv(s.buf, mpibase.AnySource, amTagOf(t.idx), t.comm16)
+		if err != nil {
+			panic(fmt.Sprintf("lcw/mpi: repost Irecv: %v", err))
+		}
+		s.req = req
+		t.amHead = (t.amHead + 1) % len(t.amRecvs)
+		n++
 	}
-	// Deliver a copy and recycle the slot at the tail.
-	out := make([]byte, head.req.Len)
-	copy(out, head.buf[:head.req.Len])
-	src := head.req.Source
-	req, err := m.Irecv(head.buf, mpibase.AnySource, amTagOf(t.idx), t.comm16)
-	if err != nil {
-		panic(fmt.Sprintf("lcw/mpi: repost Irecv: %v", err))
-	}
-	copy(t.amRecvs, t.amRecvs[1:])
-	t.amRecvs[len(t.amRecvs)-1] = amSlot{req: req, buf: head.buf}
-	return Message{Src: src, Data: out}, true
 }
 
 func (t *mpiThread) Send(dst int, data []byte) bool {
-	t.reapSends()
-	m := t.comm.m
-	for len(t.outSends) >= maxOutstandingSends {
-		m.ProgressVCI(t.comm16, amTagOf(t.idx))
-		m.ProgressVCI(t.comm16, srTagOf(t.idx))
-		t.reapSends()
-	}
-	t.outSends = append(t.outSends, m.Isend(data, dst, srTagOf(t.idx), t.comm16))
+	t.twoSided = true
+	t.isend(dst, data, srTagOf(t.idx))
 	return true
 }
 
@@ -166,7 +175,8 @@ func (t *mpiThread) SendsDone() int64 {
 }
 
 func (t *mpiThread) Recv(src int, buf []byte) bool {
-	req, err := t.comm.m.Irecv(buf, src, srTagOf(t.idx), t.comm16)
+	t.twoSided = true
+	req, err := t.m.Irecv(buf, src, srTagOf(t.idx), t.comm16)
 	if err != nil {
 		panic(fmt.Sprintf("lcw/mpi: Irecv: %v", err))
 	}
@@ -177,13 +187,4 @@ func (t *mpiThread) Recv(src int, buf []byte) bool {
 func (t *mpiThread) RecvsDone() int64 {
 	t.reapRecvs()
 	return t.recvsDone
-}
-
-func (t *mpiThread) Progress() {
-	// Progress both VCIs this thread's traffic maps to (AM and two-sided
-	// tags may hash differently), then reap.
-	t.comm.m.ProgressVCI(t.comm16, amTagOf(t.idx))
-	t.comm.m.ProgressVCI(t.comm16, srTagOf(t.idx))
-	t.reapSends()
-	t.reapRecvs()
 }
