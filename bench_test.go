@@ -227,15 +227,9 @@ func kmerBenchConfig(threads int) kmer.Config {
 	}
 }
 
-// appJob builds the job a mini-app benchmark runs on: a device (LCI) or
-// VCI (MPIX) per thread where the library has one, with
-// application-scale receive depth (the library defaults target
-// microbenchmark packet volumes).
-func appJob(b *testing.B, kind lcw.Kind, ranks, threads int) *lcw.Job {
-	job, err := lcw.NewJob(lcw.Config{
-		Kind: kind, Ranks: ranks, ThreadsPerRank: threads,
-		Dedicated: kind == lcw.LCI || kind == lcw.MPIX, PreRecvs: 64,
-	}, lci.SimExpanse())
+// appJob builds the job a mini-app benchmark runs on.
+func appJob(b *testing.B, cfg lcw.Config) *lcw.Job {
+	job, err := lcw.NewJob(cfg, lci.SimExpanse())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,7 +242,7 @@ func appJob(b *testing.B, kind lcw.Kind, ranks, threads int) *lcw.Job {
 func BenchmarkFig7KmerCounting(b *testing.B) {
 	const threadsPerRank = 4
 	run := func(b *testing.B, kind lcw.Kind, ranks, threads int) {
-		job := appJob(b, kind, ranks, threads)
+		job := appJob(b, lcw.AppConfig(kind, ranks, threads))
 		defer job.Close()
 		cfg := kmerBenchConfig(threads)
 		if err := job.Launch(func(c *lcw.Comm) error {
@@ -285,7 +279,7 @@ func BenchmarkFig8OctoTiger(b *testing.B) {
 	const threads = 8
 	cfg := amt.Config{Depth: 3, GridSize: 8, Steps: 5, Threads: threads}
 	run := func(b *testing.B, kind lcw.Kind, ranks int) float64 {
-		job := appJob(b, kind, ranks, threads)
+		job := appJob(b, amt.JobConfig(kind, ranks, cfg))
 		defer job.Close()
 		var perStep float64
 		if err := job.Launch(func(c *lcw.Comm) error {

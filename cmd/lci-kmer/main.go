@@ -41,10 +41,7 @@ func config(threads int) kmer.Config {
 // run runs the pipeline once over kind with thr worker threads per rank
 // and returns the slowest rank's time.
 func run(kind lcw.Kind, ranks, thr int) (time.Duration, error) {
-	job, err := lcw.NewJob(lcw.Config{
-		Kind: kind, Ranks: ranks, ThreadsPerRank: thr,
-		Dedicated: kind == lcw.LCI || kind == lcw.MPIX, PreRecvs: 64,
-	}, lci.SimExpanse())
+	job, err := lcw.NewJob(lcw.AppConfig(kind, ranks, thr), lci.SimExpanse())
 	if err != nil {
 		return 0, err
 	}

@@ -47,10 +47,7 @@ func cfg() amt.Config {
 // run runs the mini-app once over kind and returns the slowest rank's
 // time per step.
 func run(kind lcw.Kind, ranks int) (time.Duration, error) {
-	job, err := lcw.NewJob(lcw.Config{
-		Kind: kind, Ranks: ranks, ThreadsPerRank: *threads,
-		Dedicated: kind == lcw.LCI || kind == lcw.MPIX, PreRecvs: 64,
-	}, platform())
+	job, err := lcw.NewJob(amt.JobConfig(kind, ranks, cfg()), platform())
 	if err != nil {
 		return 0, err
 	}

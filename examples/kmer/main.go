@@ -24,7 +24,7 @@ func main() {
 		K: 31, Threads: threads, AggBytes: 8192, BloomBitsPerKmer: 64,
 	}
 
-	job, err := lcw.NewJob(lcw.Config{Kind: lcw.LCI, Ranks: ranks, ThreadsPerRank: threads, Dedicated: true}, lci.SimExpanse())
+	job, err := lcw.NewJob(lcw.AppConfig(lcw.LCI, ranks, threads), lci.SimExpanse())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -122,6 +122,18 @@ func mortonDecode(m, depth int) (x, y, z int) {
 	return
 }
 
+// JobConfig returns the lcw job that runs cfg over kind on ranks ranks:
+// the application layout (lcw.AppConfig) with the AM ceiling raised to
+// one face message when the grid's faces exceed the default, so every
+// backend sizes its packets for them.
+func JobConfig(kind lcw.Kind, ranks int, cfg Config) lcw.Config {
+	jc := lcw.AppConfig(kind, ranks, cfg.Threads)
+	if face := faceBytes(cfg.GridSize); face > lcw.DefaultMaxAM {
+		jc.MaxAM = face
+	}
+	return jc
+}
+
 // Run executes the mini-app on this rank, worker thread t using
 // c.Thread(t) (cfg.Threads must not exceed the Comm's threads); all ranks
 // call Run with the same configuration.
@@ -136,6 +148,7 @@ func Run(c *lcw.Comm, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("amt: need at least one thread")
 	}
 	if face := faceBytes(cfg.GridSize); face > c.MaxAM() {
+		// A Comm built without JobConfig for this grid.
 		return Result{}, fmt.Errorf("amt: %d-byte face message exceeds the %d-byte AM limit", face, c.MaxAM())
 	}
 	a := &app{

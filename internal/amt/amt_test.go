@@ -13,20 +13,23 @@ func smallCfg(threads int) amt.Config {
 	return amt.Config{Depth: 2, GridSize: 8, Steps: 4, Threads: threads}
 }
 
-// run runs the mini-app over the given backend: LCI and MPIX with a
-// device / VCI per thread, standard MPI shared.
+// run runs the mini-app over the given backend in its job layout
+// (amt.JobConfig).
 func run(t *testing.T, kind lcw.Kind, ranks, threads int) []amt.Result {
 	t.Helper()
-	job, err := lcw.NewJob(lcw.Config{
-		Kind: kind, Ranks: ranks, ThreadsPerRank: threads, Dedicated: kind == lcw.LCI || kind == lcw.MPIX,
-	}, lci.SimExpanse())
+	return runCfg(t, kind, ranks, smallCfg(threads))
+}
+
+func runCfg(t *testing.T, kind lcw.Kind, ranks int, cfg amt.Config) []amt.Result {
+	t.Helper()
+	job, err := lcw.NewJob(amt.JobConfig(kind, ranks, cfg), lci.SimExpanse())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer job.Close()
 	results := make([]amt.Result, ranks)
 	err = job.Launch(func(c *lcw.Comm) error {
-		res, err := amt.Run(c, smallCfg(threads))
+		res, err := amt.Run(c, cfg)
 		results[c.Rank()] = res
 		return err
 	})
@@ -91,6 +94,19 @@ func TestOctoLCIVsMPIBackends(t *testing.T) {
 	}
 	if math.Abs(c0-c2) > 1e-9*math.Abs(c0) {
 		t.Errorf("mpix checksum %v, want %v", c2, c0)
+	}
+}
+
+// TestOctoLargeGridAllBackends runs a grid whose 8200-byte faces exceed
+// lcw.DefaultMaxAM: JobConfig must size every backend's packets for them,
+// and the backends must agree on the result.
+func TestOctoLargeGridAllBackends(t *testing.T) {
+	cfg := amt.Config{Depth: 1, GridSize: 32, Steps: 2, Threads: 2}
+	_, want := totals(runCfg(t, lcw.LCI, 2, cfg))
+	for _, kind := range []lcw.Kind{lcw.MPI, lcw.MPIX} {
+		if _, got := totals(runCfg(t, kind, 2, cfg)); math.Abs(got-want) > 1e-9*math.Abs(want) {
+			t.Errorf("%v checksum %v, want %v", kind, got, want)
+		}
 	}
 }
 

@@ -230,15 +230,12 @@ func smallConfig(threads int) kmer.Config {
 	}
 }
 
-// runKmer runs the pipeline over the given backend: LCI and MPIX with a
-// device / VCI per thread, GASNet and MPI shared.
+// runKmer runs the pipeline over the given backend in the application
+// layout (lcw.AppConfig).
 func runKmer(t *testing.T, kind lcw.Kind, ranks, threads int) []kmer.Result {
 	t.Helper()
 	cfg := smallConfig(threads)
-	job, err := lcw.NewJob(lcw.Config{
-		Kind: kind, Ranks: ranks, ThreadsPerRank: threads,
-		Dedicated: kind == lcw.LCI || kind == lcw.MPIX,
-	}, lci.SimExpanse())
+	job, err := lcw.NewJob(lcw.AppConfig(kind, ranks, threads), lci.SimExpanse())
 	if err != nil {
 		t.Fatal(err)
 	}

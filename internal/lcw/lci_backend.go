@@ -15,6 +15,17 @@ import (
 // instead of multiplying 8 MiB slabs by every thread and device.
 const workerSlabBytes = 2 << 20
 
+// packetsPerWorker is the per-worker packet quota for packetSize-byte
+// packets: the slab cap above, but never fewer than twice the pre-posted
+// receive depth. Every device keeps preRecvs packets posted and a rank
+// has at least as many workers as devices, so the floor leaves sends
+// half the pool; below it, large packets (MaxAM raised for big AMT
+// faces) leave the pool to the receive window and every post retries
+// forever.
+func packetsPerWorker(packetSize, preRecvs int) int {
+	return max(min(packet.DefaultPacketsPerWorker, workerSlabBytes/packetSize), 2*preRecvs)
+}
+
 // newLCIJob builds an LCW job over this repository's LCI library. Each
 // rank registers one remote handler (the same handle on every rank,
 // registration being symmetric) that hands arrivals to the rank's sink
@@ -38,7 +49,7 @@ func newLCIJob(cfg Config, platform lci.Platform) (*Job, error) {
 	coreCfg := core.Config{
 		PacketSize:       packetSize,
 		PreRecvs:         preRecvs,
-		PacketsPerWorker: min(packet.DefaultPacketsPerWorker, workerSlabBytes/packetSize),
+		PacketsPerWorker: packetsPerWorker(packetSize, preRecvs),
 		NumDevices:       devices,
 		Topology:         cfg.Topology,
 		Placement:        cfg.Placement,

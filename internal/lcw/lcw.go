@@ -78,7 +78,7 @@ type Config struct {
 	// keeps the Dedicated-flag behavior (one device per thread when
 	// Dedicated, one for the rank otherwise).
 	Devices int
-	// MaxAM bounds AM payloads the job will carry (default 8192-64).
+	// MaxAM bounds AM payloads the job will carry (default DefaultMaxAM).
 	// Benchmarks with small fixed-size messages set it low: every backend
 	// sizes its receive packets from it, which keeps the pre-posted buffer
 	// working set cache-resident instead of rotating through megabytes of
@@ -100,13 +100,30 @@ type Config struct {
 	Placement core.Placement
 }
 
+// DefaultMaxAM is the AM payload ceiling of a Config that leaves MaxAM
+// zero: an 8 KiB wire packet less its header room.
+const DefaultMaxAM = 8192 - 64
+
+// AppConfig returns the job layout the application mini-apps (k-mer
+// counting, the AMT code) run on: a device (LCI) or VCI (MPIX) per thread
+// where the library has one, shared resources otherwise (MPI, GASNet),
+// and a pre-posted receive depth of 64 per device/VCI/endpoint — the
+// library defaults target microbenchmark packet volumes.
+func AppConfig(kind Kind, ranks, threads int) Config {
+	return Config{
+		Kind: kind, Ranks: ranks, ThreadsPerRank: threads,
+		Dedicated: kind == LCI || kind == MPIX,
+		PreRecvs:  64,
+	}
+}
+
 // sizing resolves the buffer knobs every backend shares: the AM payload
 // ceiling, the wire packet size that carries it (header room included,
 // power of two, minimum 256), and the pre-posted receive depth.
 func (c Config) sizing() (maxAM, packetSize, preRecvs int) {
 	maxAM = c.MaxAM
 	if maxAM <= 0 {
-		maxAM = 8192 - 64
+		maxAM = DefaultMaxAM
 	}
 	packetSize = 256
 	for packetSize < maxAM+64 {

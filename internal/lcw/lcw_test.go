@@ -135,53 +135,76 @@ func TestAMPingPongAllBackends(t *testing.T) {
 	}
 }
 
-// TestSendRoundTripAllBackends floods blocking Sends in both directions
-// from two threads per rank (no ping-pong pairing) and verifies that
-// every payload reaches the peer's sink intact.
+// TestSendRoundTripAllBackends floods blocking-style sends in both
+// directions from two threads per rank (no ping-pong pairing) and
+// verifies that every payload reaches the peer's sink intact, at a small
+// payload and at a MaxAM raised to 64 KiB packets (the AMT's large-grid
+// faces), where the LCI packet pool must still cover its receive window.
 func TestSendRoundTripAllBackends(t *testing.T) {
 	const threads, msgs = 2, 40
-	for _, b := range allBackends {
-		t.Run(b.String(), func(t *testing.T) {
-			job := newJob(t, lcw.Config{Kind: b.kind, Ranks: 2, ThreadsPerRank: threads, Dedicated: b.dedicated}, lci.SimExpanse())
-			var got, bad [2]atomic.Int64
-			for r := 0; r < 2; r++ {
-				job.Comm(r).SetSink(func(src int, payload []byte) {
-					if src != 1-r || len(payload) != 24 || payload[0] != byte('A'+1-r) {
-						bad[r].Add(1)
-					}
-					got[r].Add(1)
-				})
+	for _, size := range []int{24, 60_000} {
+		for _, b := range allBackends {
+			cfg := lcw.Config{Kind: b.kind, Ranks: 2, ThreadsPerRank: threads, Dedicated: b.dedicated}
+			name := b.String()
+			if size > lcw.DefaultMaxAM {
+				cfg.MaxAM, cfg.PreRecvs = size, 64
+				name += fmt.Sprintf("/maxam=%d", size)
 			}
-			deadline := time.Now().Add(testDeadline)
-			var wg sync.WaitGroup
-			for r := 0; r < 2; r++ {
-				for tid := 0; tid < threads; tid++ {
-					wg.Add(1)
-					go func(r, tid int) {
-						defer wg.Done()
-						h := job.Comm(r).Thread(tid)
-						payload := make([]byte, 24)
-						payload[0] = byte('A' + r)
-						for i := 0; i < msgs/threads; i++ {
-							lcw.Send(h, 1-r, payload)
-							h.Progress()
+			t.Run(name, func(t *testing.T) {
+				job := newJob(t, cfg, lci.SimExpanse())
+				var got, bad [2]atomic.Int64
+				for r := 0; r < 2; r++ {
+					job.Comm(r).SetSink(func(src int, payload []byte) {
+						if src != 1-r || len(payload) != size || payload[0] != byte('A'+1-r) {
+							bad[r].Add(1)
 						}
-						// Progress until both directions drain: an arrival
-						// lands in the same-index thread's resources.
-						progressUntil(h, deadline, func() bool { return got[0].Load() >= msgs && got[1].Load() >= msgs })
-					}(r, tid)
+						got[r].Add(1)
+					})
 				}
-			}
-			wg.Wait()
-			for r := 0; r < 2; r++ {
-				if got[r].Load() != msgs {
-					t.Errorf("rank %d delivered %d of %d payloads", r, got[r].Load(), msgs)
+				deadline := time.Now().Add(testDeadline)
+				var wg sync.WaitGroup
+				errCh := make(chan error, 2*threads)
+				for r := 0; r < 2; r++ {
+					for tid := 0; tid < threads; tid++ {
+						wg.Add(1)
+						go func(r, tid int) {
+							defer wg.Done()
+							h := job.Comm(r).Thread(tid)
+							payload := make([]byte, size)
+							payload[0] = byte('A' + r)
+							for i := 0; i < msgs/threads; i++ {
+								// lcw.Send's loop, bounded: a starved
+								// backend fails the test instead of hanging it.
+								for !h.SendAM(1-r, payload) {
+									h.Progress()
+									if time.Now().After(deadline) {
+										errCh <- fmt.Errorf("rank %d thread %d: send %d never accepted", r, tid, i)
+										return
+									}
+								}
+								h.Progress()
+							}
+							// Progress until both directions drain: an arrival
+							// lands in the same-index thread's resources.
+							progressUntil(h, deadline, func() bool { return got[0].Load() >= msgs && got[1].Load() >= msgs })
+						}(r, tid)
+					}
 				}
-				if bad[r].Load() != 0 {
-					t.Errorf("rank %d saw %d corrupt payloads", r, bad[r].Load())
+				wg.Wait()
+				close(errCh)
+				for err := range errCh {
+					t.Fatal(err)
 				}
-			}
-		})
+				for r := 0; r < 2; r++ {
+					if got[r].Load() != msgs {
+						t.Errorf("rank %d delivered %d of %d payloads", r, got[r].Load(), msgs)
+					}
+					if bad[r].Load() != 0 {
+						t.Errorf("rank %d saw %d corrupt payloads", r, bad[r].Load())
+					}
+				}
+			})
+		}
 	}
 }
 
