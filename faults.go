@@ -8,8 +8,8 @@ import (
 )
 
 // This file surfaces the failure domain (DESIGN.md §9): the deterministic
-// fault injector of internal/fault and the full error taxonomy a hardened
-// caller matches with errors.Is.
+// fault injector of internal/fault and the full error taxonomy a caller
+// matches with errors.Is.
 
 // FaultInjector is a deterministic, seed-driven fault injector for the
 // simulated fabric: per-(src,dst) drop/duplicate/delay probabilities
@@ -50,15 +50,15 @@ func FaultKindBit(kind uint32) uint32 { return fault.KindBit(kind) }
 
 // NewFaultInjector builds an injector for an n-rank world. Pass it to
 // NewWorld with WithFaultInjector — the injector must be installed before
-// any runtime is built, because each runtime decides at construction
-// whether to arm its hardening paths.
+// any runtime is built, because each device reads it once, at
+// construction.
 func NewFaultInjector(seed uint64, n int) *FaultInjector { return fault.New(seed, n) }
 
 // WithFaultInjector installs a fault injector on the world's fabric.
-// Runtimes built from the world run hardened: rendezvous handshakes are
-// retransmitted on timeout, duplicate deliveries are suppressed, and
-// operations against dead ranks fail with ErrPeerDead instead of
-// wedging.
+// Runtimes built from the world see its rank deaths: operations against
+// dead ranks fail with ErrPeerDead instead of wedging. Duplicate
+// suppression runs on every runtime, and rendezvous retransmission on
+// every runtime with core.Config.RendezvousTimeoutEpochs set.
 func WithFaultInjector(inj *FaultInjector) WorldOption {
 	return func(w *World) { w.inj = inj }
 }

@@ -414,12 +414,13 @@ func ChaosKill(platform lci.Platform, seed uint64) (KillResult, error) {
 }
 
 // ChaosRate measures the Fig-4-shaped small-AM round-trip rate with the
-// failure-domain hardening either fully off (no injector: the hardened
-// branch in the progress loop is untaken) or armed (an installed —
-// ruleless — injector plus rendezvous timeouts: dedup bookkeeping, the
-// timeout clock and the dead-rank sweep hook all active). The
-// hardened/plain ratio is the failure domain's standing cost on the
-// fault-free path; TestChaosSoak keeps it >= 0.95.
+// failure domain either idle ("plain": no injector and no timeouts, so
+// the attention-gated tick settles once and stays off) or armed
+// ("hardened": an installed — ruleless — injector plus rendezvous
+// timeouts: the timeout clock and the dead-rank sweep hook active; the
+// dedup bookkeeping runs in both). The hardened/plain ratio is the
+// failure domain's standing cost on the fault-free path; TestChaosSoak
+// keeps it >= 0.95.
 func ChaosRate(platform lci.Platform, threads, iters int, hardened bool) (ObsResult, error) {
 	mode := "plain"
 	opts := []lci.WorldOption{

@@ -41,10 +41,9 @@ type Meta struct {
 }
 
 // Artifact is the envelope written around benchmark results so that runs
-// are comparable over time: the repository tracks BENCH_fig4.json,
-// BENCH_fig6.json and BENCH_devscale.json at its root, CI republishes
-// them on every run, and cmd/lci-benchgate compares fresh artifacts
-// against the committed baselines.
+// are comparable over time: the repository tracks one BENCH_<name>.json
+// baseline per benchmark at its root, and cmd/lci-benchgate compares
+// fresh artifacts against them.
 type Artifact struct {
 	Bench     string `json:"bench"`
 	Timestamp string `json:"timestamp"`
@@ -52,34 +51,18 @@ type Artifact struct {
 	Results   any    `json:"results"`
 }
 
-// ArtifactDir returns the directory benchmark JSON artifacts are written
-// to: $LCI_BENCH_DIR if set, else the module root (found by walking up
-// from the working directory to the nearest go.mod, so `go test` runs
-// refresh the tracked repo-root copies), else the working directory.
-func ArtifactDir() string {
-	if d := os.Getenv("LCI_BENCH_DIR"); d != "" {
-		return d
-	}
-	dir, err := os.Getwd()
-	if err != nil {
-		return "."
-	}
-	for d := dir; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return dir
-		}
-		d = parent
-	}
-}
-
 // WriteJSON writes results as an indented JSON artifact named
-// BENCH_<name>.json in ArtifactDir. Errors are returned, not fatal: a
-// read-only checkout must not fail the benchmark that produced the data.
+// BENCH_<name>.json into $LCI_BENCH_DIR, and does nothing when that is
+// unset — a plain `go test ./...` never rewrites the committed baselines
+// (regenerate them with LCI_BENCH_DIR=$PWD from the module root; go test
+// runs each package in its own directory, so a relative path lands
+// there). Errors are returned, not fatal: a read-only directory must not
+// fail the benchmark that produced the data.
 func WriteJSON(name string, meta Meta, results any) error {
+	dir := os.Getenv("LCI_BENCH_DIR")
+	if dir == "" {
+		return nil
+	}
 	if meta.GoMaxProcs == 0 {
 		meta.GoMaxProcs = runtime.GOMAXPROCS(0)
 	}
@@ -97,6 +80,5 @@ func WriteJSON(name string, meta Meta, results any) error {
 		return err
 	}
 	data = append(data, '\n')
-	path := filepath.Join(ArtifactDir(), "BENCH_"+name+".json")
-	return os.WriteFile(path, data, 0o644)
+	return os.WriteFile(filepath.Join(dir, "BENCH_"+name+".json"), data, 0o644)
 }

@@ -289,8 +289,8 @@ func (c *Comm) drainLive(o core.Options, self *Handle) {
 // In-flight sends need no cancellation: eager sends complete at TxDone
 // regardless of the receiver, and a rendezvous send whose matching
 // receive was cancelled on the peer is bounded by the retransmit layer's
-// timeout (arm Config.RendezvousTimeoutEpochs when running hardened
-// collectives with rendezvous-sized payloads).
+// timeout (arm Config.RendezvousTimeoutEpochs when running collectives
+// with rendezvous-sized payloads under a fault injector).
 func (c *Comm) checkDead() {
 	gen := c.rt.FaultGen()
 	if gen != c.deadGen {

@@ -2,8 +2,11 @@ package comp_test
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lci/internal/base"
 	"lci/internal/comp"
@@ -149,6 +152,45 @@ func TestFixedQueueDropsWhenFull(t *testing.T) {
 	}
 	if q.Dropped() != 2 {
 		t.Fatalf("Dropped = %d, want 2", q.Dropped())
+	}
+}
+
+// TestFixedQueueNoFalseFull: a nearly empty fixed queue must never drop
+// a signal. Eight goroutines on two Ps each signal and then spin until
+// they pop an element, so the queue holds at most eight. With more
+// goroutines than Ps, a consumer is often preempted between claiming a
+// cell and releasing it for longer than the ring takes to lap; the
+// producer that reaches that cell must wait for it, not report the ring
+// full — a drop loses the completion and leaves one goroutine spinning
+// forever, so the test gives up at the first drop.
+func TestFixedQueueNoFalseFull(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const workers, ops = 8, 200_000
+	q := comp.NewFixedQueue(1 << 16)
+	deadline := time.Now().Add(60 * time.Second)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				q.Signal(base.Status{Tag: i})
+				for n := 1; ; n++ {
+					if _, ok := q.Pop(); ok {
+						break
+					}
+					if n%1024 == 0 && (stop.Load() || q.Dropped() != 0 || time.Now().After(deadline)) {
+						stop.Store(true)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if stop.Load() || q.Dropped() != 0 || q.Len() != 0 {
+		t.Fatalf("fixed queue lost completions: Dropped=%d Len=%d (timed out or gave up: %v)", q.Dropped(), q.Len(), stop.Load())
 	}
 }
 

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"errors"
 	"sync/atomic"
 
-	"lci/internal/backlog"
 	"lci/internal/base"
 	"lci/internal/fault"
 	"lci/internal/matching"
+	"lci/internal/mpmc"
 	"lci/internal/netsim/fabric"
 	"lci/internal/network"
 	"lci/internal/packet"
@@ -24,7 +23,6 @@ type Device struct {
 	rt     *Runtime
 	net    *network.Device
 	worker *packet.Worker
-	bq     *backlog.Queue
 	tokens tokenTable
 	// domain is the NUMA domain the device's resources are bound to by
 	// the placement policy (topo.UnknownDomain when the runtime has no
@@ -34,6 +32,12 @@ type Device struct {
 	// recvDeficit counts pre-posted receive slots that have been consumed
 	// (or never posted) and must be replenished by progress.
 	recvDeficit atomic.Int64
+
+	// The backlog queue (§5.1.5; submit parks, drainBacklog retries).
+	// bqNonEmpty lets the empty progress round skip it without the lock.
+	bqNonEmpty atomic.Bool
+	bqMu       spin.Mutex
+	bq         mpmc.Deque[deferrable]
 
 	// pollMu admits one poller at a time to the completion-handling slow
 	// path (the paper's try-lock rule: one poller proceeds, the rest return
@@ -50,23 +54,17 @@ type Device struct {
 	tc   *telemetry.DeviceCounters
 	ring *telemetry.Ring
 
-	// Failure-domain machinery. hardened is a plain bool decided at
-	// device creation (an injector is installed on the fabric, or
-	// rendezvous timeouts are configured); when false, ProgressW skips
-	// the whole tick with a single untaken branch, keeping the fault
-	// hooks off the healthy hot path.
-	// inj caches the fabric's injector at device creation (same contract:
-	// install before NewRuntime), sparing the tick the fabric's atomic
-	// pointer load on every empty progress round.
+	// Failure-domain machinery (hardening.go). inj caches the fabric's
+	// injector at device creation (install it before NewRuntime), sparing
+	// the tick the fabric's atomic pointer load.
 	inj *fault.Injector
-	// attention gates the hardened tick: it is raised by the injector's
-	// kill notification (Subscribe) and by rendezvous token allocation,
-	// and dropped by the tick itself once neither a death nor a live
-	// handshake needs it. The empty progress round of a hardened device
-	// therefore costs one device-local load instead of the full
-	// death-generation / live-token poll.
+	// attention gates the failure-domain tick: it is raised by the
+	// injector's kill notification (Subscribe) and by arming a rendezvous
+	// timeout, and dropped by the tick itself once neither a death nor a
+	// live handshake needs it. The empty progress round therefore costs
+	// one device-local load instead of the full death-generation /
+	// live-token poll.
 	attention        atomic.Bool
-	hardened         bool
 	rdvTimeoutEpochs int
 	rdvMaxAttempts   int
 	rdvEpoch         atomic.Uint64 // progress epochs counted while rendezvous are live
@@ -81,7 +79,7 @@ type Device struct {
 	// the bounded doneLog FIFO. Sender tokens carry a generation, so a
 	// key never legitimately recurs.
 	seenMu   spin.Mutex
-	seen     map[rdvSeenKey]*rdvSeenEntry
+	seen     map[rdvSeenKey]rdvSeenEntry
 	doneLog  []rdvSeenKey
 	doneHead int
 }
@@ -128,35 +126,30 @@ func (rt *Runtime) NewDevice() (*Device, error) {
 		}
 		nd.BindDomain(dom)
 	}
-	// The hardened decision is taken once, here: installing an injector
-	// after runtimes exist does not retro-activate the failure machinery
-	// on their devices (fabric.SetInjector before NewRuntime is the
-	// documented order).
+	// The injector is read once, here: one installed after runtimes exist
+	// is not seen by their devices (fabric.SetInjector before NewRuntime
+	// is the documented order).
 	inj := rt.injector()
-	hard := rt.cfg.RendezvousTimeoutEpochs > 0 || inj != nil
 	d := &Device{
 		inj:              inj,
 		rt:               rt,
 		net:              nd,
 		domain:           dom,
 		worker:           rt.pool.RegisterWorkerIn(dom),
-		bq:               backlog.New(),
 		compBatch:        make([]network.Completion, 32),
 		tel:              rt.tel,
 		tc:               &telemetry.DeviceCounters{},
 		ring:             rt.tel.Trace().NewRing(),
-		hardened:         hard,
 		rdvTimeoutEpochs: rt.cfg.RendezvousTimeoutEpochs,
 		rdvMaxAttempts:   rt.cfg.RendezvousMaxAttempts,
+		seen:             make(map[rdvSeenKey]rdvSeenEntry),
 	}
-	if hard {
-		d.seen = make(map[rdvSeenKey]*rdvSeenEntry)
-		// Start raised: the first tick absorbs any deaths that predate the
-		// device, then settles the flag.
-		d.attention.Store(true)
-		if inj != nil {
-			inj.Subscribe(func() { d.attention.Store(true) })
-		}
+	d.bq.Init(16)
+	// Start raised: the first tick absorbs any deaths that predate the
+	// device, then settles the flag.
+	d.attention.Store(true)
+	if inj != nil {
+		inj.Subscribe(func() { d.attention.Store(true) })
 	}
 	rt.tel.RegisterDevice(nd.Index(), d.tc, func() telemetry.DeviceGauges {
 		ns := d.net.Stats()
@@ -166,7 +159,7 @@ func (rt *Runtime) NewDevice() (*Device, error) {
 				Rejects: ns.Rejects, CrossOps: ns.CrossOps,
 			},
 			ConnectedPeers: d.net.ConnectedPeers(),
-			BacklogLen:     d.bq.Len(),
+			BacklogLen:     d.BacklogLen(),
 		}
 	})
 	d.recvDeficit.Store(int64(rt.cfg.PreRecvs))
@@ -205,24 +198,6 @@ func (d *Device) crossDelay(w *packet.Worker) {
 		}
 	}
 }
-
-// noteRetry classifies a bounced post into its retry counter.
-func (d *Device) noteRetry(err error) {
-	if d.tel.Counting() {
-		d.tc.NoteRetry(errors.Is(err, errNoPacket), errors.Is(err, network.ErrTxFull))
-	}
-}
-
-// BacklogLen reports the backlog queue length (diagnostics).
-func (d *Device) BacklogLen() int { return d.bq.Len() }
-
-// retryable reports whether err is a transient condition that the backlog
-// queue should keep retrying.
-func retryable(err error) bool {
-	return errors.Is(err, network.ErrRetry) || errors.Is(err, errNoPacket)
-}
-
-var errNoPacket = errors.New("lci: packet pool empty")
 
 // replenish posts packets as receive buffers until the deficit is zero, a
 // packet cannot be obtained, or the network refuses. Each posting claims
@@ -271,16 +246,16 @@ func (d *Device) Progress() int {
 // atomic write, and no batch-buffer traffic. Everything else lives in the
 // slow path.
 func (d *Device) ProgressW(w *packet.Worker) int {
-	// The hardened tick runs BEFORE the empty check: a rank spinning on
-	// progress with nothing but a parked receive from a dead peer has an
-	// empty backlog, no deficit, and an empty CQ — only the tick can wake
-	// it (dead-rank sweep, rendezvous timeout scan). The attention flag
-	// keeps that wake-up path off the fault-free spin: it is raised by
-	// kill notifications and rendezvous allocation, not polled for.
-	if d.hardened && d.attention.Load() {
+	// The failure-domain tick runs BEFORE the empty check: a rank
+	// spinning on progress with nothing but a parked receive from a dead
+	// peer has an empty backlog, no deficit, and an empty CQ — only the
+	// tick can wake it (dead-rank sweep, rendezvous timeout scan). The
+	// attention flag keeps that wake-up path off the fault-free spin: it
+	// is raised by kill notifications and armed timeouts, not polled for.
+	if d.attention.Load() {
 		d.tick()
 	}
-	if d.bq.Empty() && d.recvDeficit.Load() <= 0 && d.net.CQEmpty() {
+	if !d.bqNonEmpty.Load() && d.recvDeficit.Load() <= 0 && d.net.CQEmpty() {
 		return 0
 	}
 	return d.progressSlow(w)
@@ -289,8 +264,8 @@ func (d *Device) ProgressW(w *packet.Worker) int {
 // progressSlow is the found-work half of ProgressW.
 func (d *Device) progressSlow(w *packet.Worker) int {
 	// (3) retry postponed requests first, preserving their order.
-	if !d.bq.Empty() {
-		drained := d.bq.Drain(retryable)
+	if d.bqNonEmpty.Load() {
+		drained := d.drainBacklog()
 		if drained > 0 && d.tel.Counting() {
 			d.tc.BacklogDrains.Add(int64(drained))
 		}
@@ -429,7 +404,7 @@ func (d *Device) handleRxPacket(pkt *packet.Packet, src, length int, w *packet.W
 		if d.tel.Counting() {
 			d.tc.RTSRecv.Add(1)
 		}
-		if d.hardened && !d.rdvAdmit(src, h.token) {
+		if !d.rdvAdmit(src, h.token) {
 			// Retransmitted RTS: already parked, invited (RTR re-sent by
 			// rdvAdmit), or complete. Never re-insert into the engine.
 			w.Put(pkt)
@@ -458,7 +433,7 @@ func (d *Device) handleRxPacket(pkt *packet.Packet, src, length int, w *packet.W
 		if d.tel.Counting() {
 			d.tc.RTSRecv.Add(1)
 		}
-		if d.hardened && !d.rdvAdmit(src, h.token) {
+		if !d.rdvAdmit(src, h.token) {
 			w.Put(pkt)
 			return
 		}
@@ -520,15 +495,14 @@ type rdvState struct {
 	src   int
 	tag   int
 
-	// Retransmit state (hardened mode only). The stored RTR header is
-	// re-sent verbatim on timeout — same receiver token, same rkey — so a
-	// duplicate RTR at the sender is suppressed by the token generation
-	// and a duplicate write by the receiver token generation; the
-	// handshake stays idempotent. lastEpoch is atomic because the timeout
-	// scanner reads it concurrently with the arming store; 0 = unarmed.
+	// Retransmit state. The stored RTR header is re-sent verbatim on
+	// timeout — same receiver token, same rkey — so a duplicate RTR at the
+	// sender is suppressed by the token generation and a duplicate write
+	// by the receiver token generation; the handshake stays idempotent.
+	// lastEpoch is atomic because the timeout scanner reads it
+	// concurrently with the arming store; 0 = unarmed.
 	senderToken uint64
 	hdr         header
-	tok         uint32
 	rdev        int
 	attempts    int32
 	lastEpoch   atomic.Uint64
@@ -551,59 +525,28 @@ func (d *Device) respondRTR(src int, senderToken uint64, st *rdvState) {
 		token: senderToken,
 		rkey:  st.rkey,
 	}
-	if d.hardened {
-		st.senderToken = senderToken
-		st.hdr = hdr
-		st.tok = rtoken
-		st.rdev = int(senderToken >> 32)
-		d.rdvInvited(src, senderToken, hdr)
-		if d.rdvTimeoutEpochs > 0 {
-			st.lastEpoch.Store(d.epochNow())
-		}
-		// The receiver token is live (alloc above): raise attention so
-		// the timeout clock ticks for it.
-		d.attention.Store(true)
-	}
+	st.senderToken = senderToken
+	st.hdr = hdr
+	st.rdev = int(senderToken >> 32)
+	d.rdvInvited(src, senderToken, hdr)
+	d.armTimeout(&st.lastEpoch)
 	if d.tel.Counting() {
 		d.tc.RTRSent.Add(1)
 	}
 	if d.tel.Tracing() {
 		d.ring.Add(telemetry.EvRTR, d.Index(), src, senderToken)
 	}
-	d.sendControl(src, int(senderToken>>32), hdr, func(err error) {
-		if d.tokens.releaseIf(rtoken, st) {
-			d.failRecv(st, err)
-		}
-	})
+	d.sendControl(control{dst: src, rdev: st.rdev, hdr: hdr, tok: rtoken, owner: st})
 }
 
-// sendControl emits a header-only control message to the peer's device
-// remoteDev, diverting to the backlog on transient failure. A fatal
-// failure — now or on a later backlog drain — is reported through onFail
-// exactly once; a nil onFail treats fatal failure as a programming error.
-func (d *Device) sendControl(dst, remoteDev int, hdr header, onFail func(error)) {
-	try := func() error {
-		pkt := d.worker.Get()
-		if pkt == nil {
-			return errNoPacket
-		}
-		hdr.encode(pkt.Data)
-		err := d.net.PostSend(dst, remoteDev, uint32(hdr.kind), pkt.Data[:headerSize], nil)
-		d.worker.Put(pkt) // the fabric copied the bytes (or it failed); recycle either way
-		if err != nil && !retryable(err) {
-			if onFail == nil {
-				panic("lci: control message failed: " + err.Error())
-			}
-			onFail(err)
-			return nil // reported here; the backlog must never see a fatal error
-		}
-		return err
-	}
-	if err := try(); err != nil {
-		if d.tel.Counting() {
-			d.tc.BacklogParks.Add(1)
-		}
-		d.bq.Push(backlog.Op(try))
+// sendControl emits a protocol control message from inside the progress
+// engine, where a transient failure cannot bounce to a user: it parks on
+// the backlog. A fatal failure — now or on a later backlog drain — is
+// reported through the message's owner exactly once.
+func (d *Device) sendControl(c control) {
+	c.w = d.worker
+	if _, err := submit(d, c, true); err != nil {
+		c.fail(d, err)
 	}
 }
 
@@ -621,35 +564,24 @@ func (d *Device) continueRendezvous(src int, h header) {
 		return
 	}
 	ss := v.(*sendState)
-	rtoken := uint32(h.rcomp)
-	notifyDev := int(h.size)
 	if d.tel.Counting() {
 		d.tc.RdvWrite.Add(1)
 	}
 	if d.tel.Tracing() {
 		d.ring.Add(telemetry.EvWrite, d.Index(), src, h.token)
 	}
-	var ctx any
+	write := rma{
+		w: d.worker, rank: src, rdev: int(h.size), rkey: h.rkey, buf: ss.buf,
+		imm: encodeRdvImm(uint32(h.rcomp)), hasImm: true,
+	}
 	if ss.comp != nil || ss.t0 != 0 {
-		ctx = &sendOp{comp: ss.comp, st: ss.st, t0: ss.t0, rdvAM: ss.isAM}
+		write.ctx = &sendOp{comp: ss.comp, st: ss.st, t0: ss.t0, rdvAM: ss.isAM}
 	}
-	try := func() error {
-		err := d.net.PostWrite(src, notifyDev, h.rkey, 0, ss.buf,
-			encodeRdvImm(rtoken), true, ctx)
-		if err != nil && !retryable(err) {
-			// Fatal (peer died between RTR and write): the send token is
-			// already released, so the timeout scanner cannot report this —
-			// error-complete here, whether on the first try or a drain.
-			d.failSend(ss, err)
-			return nil
-		}
-		return err
-	}
-	if err := try(); err != nil {
-		if d.tel.Counting() {
-			d.tc.BacklogParks.Add(1)
-		}
-		d.bq.Push(backlog.Op(try))
+	// A transient failure parks (this runs inside the progress engine). A
+	// fatal one (peer died between RTR and write) is reported here: the
+	// send token is already released, so the timeout scanner cannot.
+	if _, err := submit(d, write, true); err != nil {
+		write.fail(d, err)
 	}
 }
 
@@ -670,9 +602,7 @@ func (d *Device) handleWriteImm(src int, imm uint64, length int) {
 			return
 		}
 		st := v.(*rdvState)
-		if d.hardened {
-			d.noteSeenDone(st.src, st.senderToken)
-		}
+		d.noteSeenDone(st.src, st.senderToken)
 		d.net.DeregisterMem(st.rkey)
 		status := base.Status{
 			State: base.Done, Rank: st.src, Tag: st.tag,

@@ -12,8 +12,8 @@ import (
 )
 
 // newFaultRuntimes builds n runtimes over a fabric with inj installed
-// BEFORE any runtime exists (the documented order: the hardened decision
-// is taken at device creation).
+// BEFORE any runtime exists (the documented order: each device reads the
+// injector at creation).
 func newFaultRuntimes(t *testing.T, n int, inj *fault.Injector, cfg Config) []*Runtime {
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: n})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 
 	"lci/internal/base"
 	"lci/internal/fault"
@@ -9,9 +10,10 @@ import (
 	"lci/internal/network"
 )
 
-// This file is the failure-domain half of the progress engine: everything
-// that runs only on hardened devices (an injector installed on the fabric,
-// or rendezvous timeouts configured). The rules it enforces:
+// This file is the failure-domain half of the progress engine. It runs on
+// every device; without an installed injector and with rendezvous
+// timeouts off, its tick is reached once per device and then stays behind
+// the attention flag. The rules it enforces:
 //
 //   - Every completion object is signaled exactly once, success or
 //     failure. Ownership of the error fire is decided by tokenTable
@@ -29,7 +31,7 @@ import (
 // granularity.
 const rdvScanEvery = 64
 
-// tick is the hardened-mode prologue of a progress round that has the
+// tick is the failure-domain prologue of a progress round that has the
 // device's attention (see Device.attention): notice rank deaths (one
 // atomic compare against the injector's generation) and drive the
 // rendezvous timeout clock while any handshake is outstanding. Once
@@ -53,13 +55,20 @@ func (d *Device) tick() {
 	}
 }
 
-// epochNow reads the timeout clock for arming a fresh handshake; the
-// clock starts at 0 but 0 means "unarmed", so arming clamps to 1.
-func (d *Device) epochNow() uint64 {
-	if e := d.rdvEpoch.Load(); e > 0 {
-		return e
+// armTimeout starts the timeout clock of a handshake whose token was just
+// allocated, when rendezvous timeouts are configured, and raises
+// attention so the clock ticks for it. The clock starts at 0 but 0 means
+// "unarmed", so arming clamps to 1.
+func (d *Device) armTimeout(lastEpoch *atomic.Uint64) {
+	if d.rdvTimeoutEpochs <= 0 {
+		return
 	}
-	return 1
+	e := d.rdvEpoch.Load()
+	if e == 0 {
+		e = 1
+	}
+	lastEpoch.Store(e)
+	d.attention.Store(true)
 }
 
 // scanRdvTimeouts walks the live token table and retransmits or fails
@@ -96,7 +105,7 @@ func (d *Device) checkSendTimeout(epoch uint64, tok uint32, ss *sendState) {
 			if d.tel.Counting() {
 				d.tc.RdvTimeouts.Add(1)
 			}
-			d.failSend(ss, ErrTimeout)
+			d.failSend(ss.comp, ss.st, ErrTimeout)
 		}
 		return
 	}
@@ -105,11 +114,7 @@ func (d *Device) checkSendTimeout(epoch uint64, tok uint32, ss *sendState) {
 	if d.tel.Counting() {
 		d.tc.Retransmits.Add(1)
 	}
-	d.sendControl(ss.dst, ss.rdev, ss.hdr, func(err error) {
-		if d.tokens.releaseIf(tok, ss) {
-			d.failSend(ss, err)
-		}
-	})
+	d.sendControl(control{dst: ss.dst, rdev: ss.rdev, hdr: ss.hdr, tok: tok, owner: ss})
 }
 
 // checkRecvTimeout handles one overdue receiver-side handshake: re-send
@@ -134,22 +139,18 @@ func (d *Device) checkRecvTimeout(epoch uint64, tok uint32, st *rdvState) {
 	if d.tel.Counting() {
 		d.tc.Retransmits.Add(1)
 	}
-	d.sendControl(st.src, st.rdev, st.hdr, func(err error) {
-		if d.tokens.releaseIf(tok, st) {
-			d.failRecv(st, err)
-		}
-	})
+	d.sendControl(control{dst: st.src, rdev: st.rdev, hdr: st.hdr, tok: tok, owner: st})
 }
 
-// failSend error-completes a sender-side operation: the op's prepared
-// Done status with Err set, signaled exactly once. Callers own the fire
-// (they won the releaseIf, or hold the only reference).
-func (d *Device) failSend(ss *sendState, err error) {
+// failSend error-completes a sender-side operation: its prepared Done
+// status st with Err set, signaled on comp (if any) exactly once. Callers
+// own the fire (they won the releaseIf, or hold the only reference).
+func (d *Device) failSend(comp base.Comp, st base.Status, err error) {
 	if d.tel.Counting() && errors.Is(err, network.ErrPeerDead) {
 		d.tc.PeerDeadErrors.Add(1)
 	}
-	if ss.comp != nil {
-		ss.comp.Signal(ss.st.WithErr(err))
+	if comp != nil {
+		comp.Signal(st.WithErr(err))
 	}
 }
 
@@ -215,7 +216,7 @@ func (d *Device) sweepDead(inj *fault.Injector) {
 				if d.tel.Counting() {
 					d.tc.DeadSweeps.Add(1)
 				}
-				d.failSend(s, network.ErrPeerDead)
+				d.failSend(s.comp, s.st, network.ErrPeerDead)
 			}
 		case *rdvState:
 			if inj.Dead(s.src) && d.tokens.releaseIf(ref.tok, s) {
@@ -280,7 +281,7 @@ func (d *Device) abortInFlight() {
 		switch s := ref.v.(type) {
 		case *sendState:
 			if d.tokens.releaseIf(ref.tok, s) {
-				d.failSend(s, ErrClosed)
+				d.failSend(s.comp, s.st, ErrClosed)
 			}
 		case *rdvState:
 			if d.tokens.releaseIf(ref.tok, s) {
@@ -299,22 +300,23 @@ func (d *Device) abortInFlight() {
 func (d *Device) rdvAdmit(src int, token uint64) bool {
 	key := rdvSeenKey{src: src, token: token}
 	d.seenMu.Lock()
-	e := d.seen[key]
-	if e == nil {
-		d.seen[key] = &rdvSeenEntry{state: seenParked}
-		d.seenMu.Unlock()
+	e, dup := d.seen[key]
+	if !dup {
+		d.seen[key] = rdvSeenEntry{state: seenParked}
+	}
+	d.seenMu.Unlock()
+	if !dup {
 		return true
 	}
-	state, rdev, hdr := e.state, e.rdev, e.hdr
-	d.seenMu.Unlock()
 	if d.tel.Counting() {
 		d.tc.DupSuppressed.Add(1)
 	}
-	if state == seenInvited {
+	if e.state == seenInvited {
 		if d.tel.Counting() {
 			d.tc.Retransmits.Add(1)
 		}
-		d.sendControl(src, rdev, hdr, func(error) {}) // peer death is handled by the sweep
+		// No owner: a peer death is reported by the dead-rank sweep.
+		d.sendControl(control{dst: src, rdev: e.rdev, hdr: e.hdr})
 	}
 	return false
 }
@@ -324,14 +326,7 @@ func (d *Device) rdvAdmit(src int, token uint64) bool {
 func (d *Device) rdvInvited(src int, token uint64, hdr header) {
 	key := rdvSeenKey{src: src, token: token}
 	d.seenMu.Lock()
-	e := d.seen[key]
-	if e == nil {
-		e = &rdvSeenEntry{}
-		d.seen[key] = e
-	}
-	e.state = seenInvited
-	e.rdev = int(token >> 32)
-	e.hdr = hdr
+	d.seen[key] = rdvSeenEntry{state: seenInvited, rdev: int(token >> 32), hdr: hdr}
 	d.seenMu.Unlock()
 }
 
@@ -341,19 +336,10 @@ func (d *Device) rdvInvited(src int, token uint64, hdr header) {
 // wedge only if it could still match — it cannot, because its sender
 // token generation is stale and the write-imm path suppresses it.
 func (d *Device) noteSeenDone(src int, token uint64) {
-	if d.seen == nil {
-		return
-	}
 	key := rdvSeenKey{src: src, token: token}
 	d.seenMu.Lock()
-	e := d.seen[key]
-	if e == nil {
-		e = &rdvSeenEntry{}
-		d.seen[key] = e
-	}
-	if e.state != seenDone {
-		e.state = seenDone
-		e.rdev, e.hdr = 0, header{}
+	if d.seen[key].state != seenDone {
+		d.seen[key] = rdvSeenEntry{state: seenDone}
 		d.doneLog = append(d.doneLog, key)
 		if len(d.doneLog)-d.doneHead > seenTombstones {
 			delete(d.seen, d.doneLog[d.doneHead])

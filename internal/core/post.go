@@ -125,15 +125,14 @@ type sendState struct {
 	t0   int64
 	isAM bool
 
-	// Retransmit state (hardened mode only): the RTS header is stored so
-	// the timeout scanner can re-send it verbatim — duplicates at the
-	// receiver dedup on (src, token). lastEpoch is atomic because the
-	// scanner reads it concurrently with the arming store (the store also
-	// publishes dst/rdev/hdr to the scanner); 0 = unarmed.
+	// Retransmit state: the RTS header is stored so the timeout scanner
+	// can re-send it verbatim — duplicates at the receiver dedup on (src,
+	// token). lastEpoch is atomic because the scanner reads it
+	// concurrently with the arming store (the store also publishes hdr to
+	// the scanner); 0 = unarmed.
 	dst       int
 	rdev      int
 	hdr       header
-	tok       uint32
 	attempts  int32
 	lastEpoch atomic.Uint64
 }
@@ -186,20 +185,6 @@ func (o *Options) remoteDev(d *Device) int {
 		return o.RemoteDevice
 	}
 	return d.Index()
-}
-
-func retryStatus(reason base.RetryReason) base.Status {
-	return base.Status{State: base.Retry, Reason: reason}
-}
-
-func classifyRetry(err error) base.Status {
-	if err == errNoPacket {
-		return retryStatus(base.RetryPacketPool)
-	}
-	if err == network.ErrTxFull {
-		return retryStatus(base.RetryTxFull)
-	}
-	return retryStatus(base.RetryLockBusy)
 }
 
 // PostComm is the generic communication posting operation (§4.2.4,
@@ -287,96 +272,36 @@ func (rt *Runtime) checkCommon(rank int, buf []byte) error {
 // postEager runs the shared eager path for sends and AMs. It returns the
 // final status.
 func (rt *Runtime) postEager(rank int, buf []byte, hdr header, comp base.Comp, opts Options, d *Device) (base.Status, error) {
-	w := opts.worker(d)
-	var t0 int64
-	if comp != nil && len(buf) > rt.cfg.InjectSize && d.tel.Timing() {
-		t0 = telemetry.Now()
+	s := eagerSend{
+		w: opts.worker(d), rank: rank, rdev: opts.remoteDev(d), hdr: hdr, buf: buf,
+		comp: comp, ctx: opts.Ctx, inject: len(buf) <= rt.cfg.InjectSize,
 	}
-	attempt := func(bounce bool) error {
-		pkt := w.Get()
-		if pkt == nil {
-			return errNoPacket
-		}
-		hdr.encode(pkt.Data)
-		n := copy(pkt.Data[headerSize:], buf)
-		var ctx any
-		if comp != nil && len(buf) > rt.cfg.InjectSize {
-			ctx = &sendOp{comp: comp, st: base.Status{
-				State: base.Done, Rank: rank, Tag: int(hdr.tag), Buffer: buf, Size: n, Ctx: opts.Ctx,
-			}, t0: t0}
-		}
-		d.crossDelay(w)
-		err := d.net.PostSend(rank, opts.remoteDev(d), uint32(hdr.kind), pkt.Data[:headerSize+n], ctx)
-		// The fabric copies synchronously, so the packet recycles
-		// immediately whether the post succeeded or failed.
-		w.Put(pkt)
-		return err
+	if comp != nil && !s.inject && d.tel.Timing() {
+		s.t0 = telemetry.Now()
 	}
-	err := attempt(false)
-	if err == nil {
-		if len(buf) <= rt.cfg.InjectSize {
-			// Inject: immediate completion, completion object NOT signaled.
-			if d.tel.Counting() {
-				d.tc.PostInline.Add(1)
-			}
-			if d.tel.Tracing() {
-				opts.ring(d).Add(telemetry.EvInject, d.Index(), rank, uint64(uint32(hdr.tag)))
-			}
-			return base.Status{
-				State: base.Done, Rank: rank, Tag: int(hdr.tag),
-				Buffer: buf, Size: len(buf), Ctx: opts.Ctx,
-			}, nil
-		}
+	if st, err := submit(d, s, opts.DisallowRetry); err != nil || st.State != base.Done {
+		return st, err
+	}
+	if s.inject {
+		// Inject: immediate completion, completion object NOT signaled.
 		if d.tel.Counting() {
-			d.tc.PostEager.Add(1)
+			d.tc.PostInline.Add(1)
 		}
 		if d.tel.Tracing() {
-			opts.ring(d).Add(telemetry.EvPost, d.Index(), rank, uint64(uint32(hdr.tag)))
+			opts.ring(d).Add(telemetry.EvInject, d.Index(), rank, uint64(uint32(hdr.tag)))
 		}
-		return base.Status{State: base.Posted}, nil
+		return base.Status{
+			State: base.Done, Rank: rank, Tag: int(hdr.tag),
+			Buffer: buf, Size: len(buf), Ctx: opts.Ctx,
+		}, nil
 	}
-	if !retryable(err) {
-		return base.Status{}, err
+	if d.tel.Counting() {
+		d.tc.PostEager.Add(1)
 	}
-	if opts.DisallowRetry {
-		// Reaction (2): park the whole attempt on the backlog queue. The
-		// inject fast-completion is unavailable on this path; the
-		// completion object is signaled even for small messages.
-		if d.tel.Counting() {
-			d.tc.BacklogParks.Add(1)
-		}
-		inner := hdr
-		innerComp := comp
-		d.bq.Push(func() error {
-			pkt := w.Get()
-			if pkt == nil {
-				return errNoPacket
-			}
-			inner.encode(pkt.Data)
-			n := copy(pkt.Data[headerSize:], buf)
-			var ctx any
-			if innerComp != nil {
-				ctx = &sendOp{comp: innerComp, st: base.Status{
-					State: base.Done, Rank: rank, Tag: int(inner.tag), Buffer: buf, Size: n, Ctx: opts.Ctx,
-				}, t0: t0}
-			}
-			d.crossDelay(w)
-			e := d.net.PostSend(rank, opts.remoteDev(d), uint32(inner.kind), pkt.Data[:headerSize+n], ctx)
-			w.Put(pkt)
-			if e != nil && !retryable(e) {
-				// Fatal on a backlog drain (peer died while parked): the
-				// queue drops non-retryable errors, so report here.
-				d.failSend(&sendState{comp: innerComp, st: base.Status{
-					State: base.Done, Rank: rank, Tag: int(inner.tag), Ctx: opts.Ctx,
-				}}, e)
-				return nil
-			}
-			return e
-		})
-		return base.Status{State: base.Posted, Reason: base.RetryBacklog}, nil
+	if d.tel.Tracing() {
+		opts.ring(d).Add(telemetry.EvPost, d.Index(), rank, uint64(uint32(hdr.tag)))
 	}
-	d.noteRetry(err)
-	return classifyRetry(err), nil
+	return base.Status{State: base.Posted}, nil
 }
 
 // postRendezvous runs the shared rendezvous announcement for large sends
@@ -384,7 +309,7 @@ func (rt *Runtime) postEager(rank int, buf []byte, hdr header, comp base.Comp, o
 func (rt *Runtime) postRendezvous(rank int, buf []byte, hdr header, comp base.Comp, opts Options, d *Device) (base.Status, error) {
 	ss := &sendState{buf: buf, comp: comp, st: base.Status{
 		State: base.Done, Rank: rank, Tag: int(hdr.tag), Buffer: buf, Size: len(buf), Ctx: opts.Ctx,
-	}, isAM: hdr.kind == kRTSAM}
+	}, isAM: hdr.kind == kRTSAM, dst: rank, rdev: opts.remoteDev(d)}
 	if d.tel.Timing() {
 		ss.t0 = telemetry.Now()
 	}
@@ -396,73 +321,30 @@ func (rt *Runtime) postRendezvous(rank int, buf []byte, hdr header, comp base.Co
 	token := d.tokens.alloc(ss)
 	hdr.token = uint64(d.Index())<<32 | uint64(token)
 	hdr.size = uint32(len(buf))
-	if d.hardened {
-		ss.dst = rank
-		ss.rdev = opts.remoteDev(d)
-		ss.tok = token
-		ss.hdr = hdr
-		if d.rdvTimeoutEpochs > 0 {
-			ss.lastEpoch.Store(d.epochNow())
-		}
-		// The token is live (alloc above): raise attention so the timeout
-		// clock ticks for it.
-		d.attention.Store(true)
-	}
+	ss.hdr = hdr
+	d.armTimeout(&ss.lastEpoch)
 
-	w := opts.worker(d)
-	attempt := func() error {
-		pkt := w.Get()
-		if pkt == nil {
-			return errNoPacket
+	st, err := submit(d, control{w: opts.worker(d), dst: rank, rdev: ss.rdev, hdr: hdr, tok: token, owner: ss}, opts.DisallowRetry)
+	if err != nil || st.State == base.Retry {
+		// Neither sent nor parked: give the token back. releaseIf: the
+		// timeout scanner may already own the failure fire; if it does,
+		// the op was posted as far as the caller is concerned and the
+		// outcome arrives through the completion object.
+		if !d.tokens.releaseIf(token, ss) {
+			return base.Status{State: base.Posted}, nil
 		}
-		hdr.encode(pkt.Data)
-		d.crossDelay(w)
-		err := d.net.PostSend(rank, opts.remoteDev(d), uint32(hdr.kind), pkt.Data[:headerSize], nil)
-		w.Put(pkt)
-		return err
+		return st, err
 	}
-	err := attempt()
-	if err == nil {
-		if d.tel.Counting() {
-			d.tc.PostRendezvous.Add(1)
-		}
-		if d.tel.Tracing() {
-			opts.ring(d).Add(telemetry.EvRTS, d.Index(), rank, hdr.token)
-		}
-		return base.Status{State: base.Posted}, nil
+	if st.State == base.Posted {
+		return st, nil // parked
 	}
-	if !retryable(err) {
-		// releaseIf: the timeout scanner may already own the failure fire;
-		// if it does, the op was posted as far as the caller is concerned
-		// and the error arrives through the completion object.
-		if d.tokens.releaseIf(token, ss) {
-			return base.Status{}, err
-		}
-		return base.Status{State: base.Posted}, nil
+	if d.tel.Counting() {
+		d.tc.PostRendezvous.Add(1)
 	}
-	if opts.DisallowRetry {
-		if d.tel.Counting() {
-			d.tc.BacklogParks.Add(1)
-		}
-		d.bq.Push(func() error {
-			e := attempt()
-			if e != nil && !retryable(e) {
-				// Fatal on a backlog drain (the queue drops non-retryable
-				// errors): report through the completion object here.
-				if d.tokens.releaseIf(token, ss) {
-					d.failSend(ss, e)
-				}
-				return nil
-			}
-			return e
-		})
-		return base.Status{State: base.Posted, Reason: base.RetryBacklog}, nil
+	if d.tel.Tracing() {
+		opts.ring(d).Add(telemetry.EvRTS, d.Index(), rank, hdr.token)
 	}
-	if !d.tokens.releaseIf(token, ss) {
-		return base.Status{State: base.Posted}, nil
-	}
-	d.noteRetry(err)
-	return classifyRetry(err), nil
+	return base.Status{State: base.Posted}, nil
 }
 
 func (rt *Runtime) postSend(rank int, buf []byte, tag int, comp base.Comp, opts Options) (base.Status, error) {
@@ -557,7 +439,10 @@ func (rt *Runtime) postPut(rank int, buf []byte, tag int, comp base.Comp, opts O
 		imm = encodePutImm(opts.RComp, tag)
 		hasImm = true
 	}
-	var ctx any
+	r := rma{
+		w: opts.worker(d), rank: rank, rdev: opts.remoteDev(d),
+		rkey: opts.Remote.RKey, off: opts.Remote.Offset, buf: buf, imm: imm, hasImm: hasImm,
+	}
 	if comp != nil {
 		op := &sendOp{comp: comp, st: base.Status{
 			State: base.Done, Rank: rank, Tag: tag, Buffer: buf, Size: len(buf), Ctx: opts.Ctx,
@@ -565,44 +450,18 @@ func (rt *Runtime) postPut(rank int, buf []byte, tag int, comp base.Comp, opts O
 		if d.tel.Timing() {
 			op.t0 = telemetry.Now()
 		}
-		ctx = op
+		r.ctx = op
 	}
-	w := opts.worker(d)
-	attempt := func() error {
-		d.crossDelay(w)
-		return d.net.PostWrite(rank, opts.remoteDev(d), opts.Remote.RKey, opts.Remote.Offset, buf, imm, hasImm, ctx)
+	if st, err := submit(d, r, opts.DisallowRetry); err != nil || st.State != base.Done {
+		return st, err
 	}
-	err := attempt()
-	if err == nil {
-		if d.tel.Counting() {
-			d.tc.PostPut.Add(1)
-		}
-		if d.tel.Tracing() {
-			opts.ring(d).Add(telemetry.EvPost, d.Index(), rank, uint64(uint32(tag)))
-		}
-		return base.Status{State: base.Posted}, nil
+	if d.tel.Counting() {
+		d.tc.PostPut.Add(1)
 	}
-	if !retryable(err) {
-		return base.Status{}, err
+	if d.tel.Tracing() {
+		opts.ring(d).Add(telemetry.EvPost, d.Index(), rank, uint64(uint32(tag)))
 	}
-	if opts.DisallowRetry {
-		if d.tel.Counting() {
-			d.tc.BacklogParks.Add(1)
-		}
-		d.bq.Push(func() error {
-			e := attempt()
-			if e != nil && !retryable(e) {
-				d.failSend(&sendState{comp: comp, st: base.Status{
-					State: base.Done, Rank: rank, Tag: tag, Ctx: opts.Ctx,
-				}}, e)
-				return nil
-			}
-			return e
-		})
-		return base.Status{State: base.Posted, Reason: base.RetryBacklog}, nil
-	}
-	d.noteRetry(err)
-	return classifyRetry(err), nil
+	return base.Status{State: base.Posted}, nil
 }
 
 func (rt *Runtime) postGet(rank int, buf []byte, comp base.Comp, opts Options) (base.Status, error) {
@@ -614,7 +473,10 @@ func (rt *Runtime) postGet(rank int, buf []byte, comp base.Comp, opts Options) (
 	if opts.Remote.Size > 0 && opts.Remote.Size < len(into) {
 		into = into[:opts.Remote.Size]
 	}
-	var ctx any
+	r := rma{
+		read: true, w: opts.worker(d), rank: rank,
+		rkey: opts.Remote.RKey, off: opts.Remote.Offset, buf: into,
+	}
 	if comp != nil {
 		op := &sendOp{comp: comp, st: base.Status{
 			State: base.Done, Rank: rank, Buffer: into, Size: len(into), Ctx: opts.Ctx,
@@ -622,44 +484,18 @@ func (rt *Runtime) postGet(rank int, buf []byte, comp base.Comp, opts Options) (
 		if d.tel.Timing() {
 			op.t0 = telemetry.Now()
 		}
-		ctx = op
+		r.ctx = op
 	}
-	w := opts.worker(d)
-	attempt := func() error {
-		d.crossDelay(w)
-		return d.net.PostRead(rank, opts.Remote.RKey, opts.Remote.Offset, into, ctx)
+	if st, err := submit(d, r, opts.DisallowRetry); err != nil || st.State != base.Done {
+		return st, err
 	}
-	err := attempt()
-	if err == nil {
-		if d.tel.Counting() {
-			d.tc.PostGet.Add(1)
-		}
-		if d.tel.Tracing() {
-			opts.ring(d).Add(telemetry.EvPost, d.Index(), rank, 0)
-		}
-		return base.Status{State: base.Posted}, nil
+	if d.tel.Counting() {
+		d.tc.PostGet.Add(1)
 	}
-	if !retryable(err) {
-		return base.Status{}, err
+	if d.tel.Tracing() {
+		opts.ring(d).Add(telemetry.EvPost, d.Index(), rank, 0)
 	}
-	if opts.DisallowRetry {
-		if d.tel.Counting() {
-			d.tc.BacklogParks.Add(1)
-		}
-		d.bq.Push(func() error {
-			e := attempt()
-			if e != nil && !retryable(e) {
-				d.failSend(&sendState{comp: comp, st: base.Status{
-					State: base.Done, Rank: rank, Ctx: opts.Ctx,
-				}}, e)
-				return nil
-			}
-			return e
-		})
-		return base.Status{State: base.Posted, Reason: base.RetryBacklog}, nil
-	}
-	d.noteRetry(err)
-	return classifyRetry(err), nil
+	return base.Status{State: base.Posted}, nil
 }
 
 // RegisterMemory registers buf on the device for remote access and

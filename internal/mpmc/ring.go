@@ -1,6 +1,7 @@
 package mpmc
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"lci/internal/spin"
@@ -24,7 +25,8 @@ type ringCell[T any] struct {
 // full ring is exactly a full hardware queue and yields a retry).
 //
 // Enqueue returns false when the ring is full or sealed; Dequeue returns
-// false when the ring is empty. Neither ever blocks.
+// false when the ring is empty. Dequeue never blocks; Enqueue waits only
+// for a consumer that has claimed the target cell to release it.
 type Ring[T any] struct {
 	_     spin.Pad
 	enq   atomic.Uint64
@@ -69,7 +71,15 @@ func (r *Ring[T]) Enqueue(v T) bool {
 				return true
 			}
 		case d < 0:
-			return false // full
+			// The cell still holds the previous lap's element. That means
+			// full only when the ring really is occupied; otherwise that
+			// lap's consumer has won its deq claim but not yet released
+			// the cell — a wait bounded by its two stores, so yield and
+			// retry rather than report a false full.
+			if int64(pos-r.deq.Load()) >= int64(len(r.cells)) {
+				return false
+			}
+			runtime.Gosched()
 		default:
 			// another producer already claimed this cell; reload
 		}
