@@ -14,7 +14,7 @@ import (
 
 // newFaultRuntimes mirrors newRuntimes but installs a fault injector on
 // the fabric before any runtime exists — the order the hardening layer
-// requires (core decides per-device hardening at NewRuntime).
+// requires (each device reads the injector at construction).
 func newFaultRuntimes(t *testing.T, n int, inj *fault.Injector, cfg core.Config) []*core.Runtime {
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: n, Topo: cfg.Topology})

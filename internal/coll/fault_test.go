@@ -14,8 +14,8 @@ import (
 )
 
 // newFaultComms builds n in-process ranks over one fabric with a fault
-// injector installed before any runtime exists (core decides per-device
-// hardening at NewRuntime), plus one Comm per rank.
+// injector installed before any runtime exists (each device reads the
+// injector at construction), plus one Comm per rank.
 func newFaultComms(t *testing.T, n int, inj *fault.Injector) ([]*core.Runtime, []*coll.Comm) {
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: n})

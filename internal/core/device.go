@@ -73,22 +73,34 @@ type Device struct {
 	rdvScratch       []tokenRef
 
 	// seen deduplicates retransmitted RTS arrivals per (src, sender
-	// token): a parked duplicate is dropped, an already-invited one gets
-	// the identical RTR re-sent (idempotent — same receiver token, same
-	// rkey), and a completed one is absorbed by a tombstone retained in
-	// the bounded doneLog FIFO. Sender tokens carry a generation, so a
-	// key never legitimately recurs.
+	// device, RTS sequence): a parked duplicate is dropped, an
+	// already-invited one gets the identical RTR re-sent (idempotent —
+	// same receiver token, same rkey), and a completed one is absorbed by
+	// a tombstone retained in the bounded doneLog FIFO.
 	seenMu   spin.Mutex
 	seen     map[rdvSeenKey]rdvSeenEntry
 	doneLog  []rdvSeenKey
 	doneHead int
+	// rtsSeq numbers the rendezvous this device announces. The number
+	// rides in the RTS and names the handshake in the receiver's
+	// seen-set; unlike a token it never recurs, so a tombstone cannot
+	// absorb a later RTS.
+	rtsSeq atomic.Uint64
 }
 
-// rdvSeenKey names one sender-side rendezvous attempt as the receiver
-// sees it.
+// rdvSeenKey names one sender-side rendezvous as the receiver sees it.
+// It is keyed on the sender device's RTS sequence, not on the sender
+// token: a token slot's 16-bit generation wraps after 65536 reuses, well
+// within the lifetime of a tombstone.
 type rdvSeenKey struct {
-	src   int
-	token uint64
+	src, sdev int32
+	seq       uint64
+}
+
+// seenKey reads the seen-set key off an RTS header: the posting device's
+// index rides in the token's upper half, its RTS sequence in rkey.
+func seenKey(src int, h header) rdvSeenKey {
+	return rdvSeenKey{src: int32(src), sdev: int32(h.token >> 32), seq: h.rkey}
 }
 
 const (
@@ -103,7 +115,6 @@ const seenTombstones = 1024
 
 type rdvSeenEntry struct {
 	state uint8
-	rdev  int
 	hdr   header
 }
 
@@ -404,7 +415,7 @@ func (d *Device) handleRxPacket(pkt *packet.Packet, src, length int, w *packet.W
 		if d.tel.Counting() {
 			d.tc.RTSRecv.Add(1)
 		}
-		if !d.rdvAdmit(src, h.token) {
+		if !d.rdvAdmit(seenKey(src, h)) {
 			// Retransmitted RTS: already parked, invited (RTR re-sent by
 			// rdvAdmit), or complete. Never re-insert into the engine.
 			w.Put(pkt)
@@ -412,7 +423,7 @@ func (d *Device) handleRxPacket(pkt *packet.Packet, src, length int, w *packet.W
 		}
 		eng := d.rt.engineByID(h.engine)
 		key := matching.MakeKey(src, int(h.tag), h.policy)
-		arrival := &rtsArrival{src: src, tag: int(h.tag), size: int(h.size), token: h.token, dev: d}
+		arrival := &rtsArrival{src: src, tag: int(h.tag), size: int(h.size), token: h.token, seq: h.rkey, dev: d}
 		if m, ok := eng.Insert(key, matching.Send, arrival); ok {
 			if d.tel.Counting() {
 				d.tc.MatchHits.Add(1)
@@ -433,12 +444,12 @@ func (d *Device) handleRxPacket(pkt *packet.Packet, src, length int, w *packet.W
 		if d.tel.Counting() {
 			d.tc.RTSRecv.Add(1)
 		}
-		if !d.rdvAdmit(src, h.token) {
+		if !d.rdvAdmit(seenKey(src, h)) {
 			w.Put(pkt)
 			return
 		}
 		buf, owner := d.rt.allocAM(int(h.size), h.rcomp)
-		d.respondRTR(src, h.token, &rdvState{
+		d.respondRTR(seenKey(src, h), h.token, &rdvState{
 			isAM: true, rcomp: h.rcomp, buf: buf, alloc: owner, src: src, tag: int(h.tag),
 		})
 		w.Put(pkt)
@@ -478,7 +489,8 @@ func (d *Device) startRTR(rop *recvOp, rts *rtsArrival) {
 	if size > len(rop.buf) {
 		size = len(rop.buf) // truncated receive, like MPI_ERR_TRUNCATE avoided by convention
 	}
-	d.respondRTR(rts.src, rts.token, &rdvState{
+	key := rdvSeenKey{src: int32(rts.src), sdev: int32(rts.token >> 32), seq: rts.seq}
+	d.respondRTR(key, rts.token, &rdvState{
 		buf: rop.buf[:size], comp: rop.comp, ctx: rop.ctx, src: rts.src, tag: rts.tag,
 	})
 }
@@ -499,13 +511,13 @@ type rdvState struct {
 	// timeout — same receiver token, same rkey — so a duplicate RTR at the
 	// sender is suppressed by the token generation and a duplicate write
 	// by the receiver token generation; the handshake stays idempotent.
-	// lastEpoch is atomic because the timeout scanner reads it
+	// seen names the handshake in the seen-set; its sdev is the sender
+	// device the RTR is addressed to. lastEpoch is atomic because the timeout scanner reads it
 	// concurrently with the arming store; 0 = unarmed.
-	senderToken uint64
-	hdr         header
-	rdev        int
-	attempts    int32
-	lastEpoch   atomic.Uint64
+	seen      rdvSeenKey
+	hdr       header
+	attempts  int32
+	lastEpoch atomic.Uint64
 }
 
 // respondRTR registers st.buf, stores the rendezvous state and sends the
@@ -515,7 +527,7 @@ type rdvState struct {
 // on the backlog queue — this path runs inside the progress engine or a
 // posting call that already matched, so it cannot bounce a retry to the
 // user (§5.1.5); fatal failures error-complete the receive.
-func (d *Device) respondRTR(src int, senderToken uint64, st *rdvState) {
+func (d *Device) respondRTR(key rdvSeenKey, senderToken uint64, st *rdvState) {
 	st.rkey = d.net.RegisterMem(st.buf)
 	rtoken := d.tokens.alloc(st)
 	hdr := header{
@@ -525,18 +537,17 @@ func (d *Device) respondRTR(src int, senderToken uint64, st *rdvState) {
 		token: senderToken,
 		rkey:  st.rkey,
 	}
-	st.senderToken = senderToken
+	st.seen = key
 	st.hdr = hdr
-	st.rdev = int(senderToken >> 32)
-	d.rdvInvited(src, senderToken, hdr)
+	d.rdvInvited(key, hdr)
 	d.armTimeout(&st.lastEpoch)
 	if d.tel.Counting() {
 		d.tc.RTRSent.Add(1)
 	}
 	if d.tel.Tracing() {
-		d.ring.Add(telemetry.EvRTR, d.Index(), src, senderToken)
+		d.ring.Add(telemetry.EvRTR, d.Index(), st.src, senderToken)
 	}
-	d.sendControl(control{dst: src, rdev: st.rdev, hdr: hdr, tok: rtoken, owner: st})
+	d.sendControl(control{dst: st.src, rdev: int(key.sdev), hdr: hdr, tok: rtoken, owner: st})
 }
 
 // sendControl emits a protocol control message from inside the progress
@@ -602,7 +613,7 @@ func (d *Device) handleWriteImm(src int, imm uint64, length int) {
 			return
 		}
 		st := v.(*rdvState)
-		d.noteSeenDone(st.src, st.senderToken)
+		d.noteSeenDone(st.seen)
 		d.net.DeregisterMem(st.rkey)
 		status := base.Status{
 			State: base.Done, Rank: st.src, Tag: st.tag,

@@ -305,3 +305,55 @@ func TestDuplicateRTSDelivery(t *testing.T) {
 		t.Fatalf("receiver dup-suppressed = %d, want >= 1", dups)
 	}
 }
+
+// TestRendezvousSeenKeyNoAlias: the receiver's duplicate-RTS seen-set
+// must not absorb a fresh RTS whose sender token recurs. Token slots are
+// reused LIFO and their generation is 16 bits, so on rank 0 one slot
+// serves every rendezvous (sends and receives alike) and its token comes
+// back after 65536 cycles, while rank 1 — which completes only one
+// rendezvous per round from rank 0 — still holds that send's tombstone.
+// With no injector and no timeouts nothing would retransmit an absorbed
+// RTS, so the 513th send would never complete.
+func TestRendezvousSeenKeyNoAlias(t *testing.T) {
+	rts := newFaultRuntimes(t, 2, nil, Config{})
+	defer rts[0].Close()
+	defer rts[1].Close()
+
+	size := rts[0].MaxEager() + 1
+	src, dst := make([]byte, size), make([]byte, size)
+	c0, c1 := &comp.Counter{}, &comp.Counter{}
+	var want0, want1 int64
+	transfer := func(round, from, to int, fc, tc *comp.Counter) {
+		if _, err := rts[to].PostRecv(from, dst, 3, tc, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rts[from].PostSend(to, src, 3, fc, Options{DisallowRetry: true}); err != nil {
+			t.Fatal(err)
+		}
+		want0++
+		want1++
+		for i := 0; c0.Load() < want0 || c1.Load() < want1; i++ {
+			if i == 10_000 {
+				t.Fatalf("round %d: rendezvous %d->%d never completed", round, from, to)
+			}
+			rts[0].ProgressAll()
+			rts[1].ProgressAll()
+		}
+	}
+	const rounds = 520 // > 65536/128: the first send's token recurs at round 512
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < 127; i++ {
+			transfer(r, 1, 0, c1, c0)
+		}
+		transfer(r, 0, 1, c0, c1)
+	}
+	if c0.Load() != want0 || c1.Load() != want1 {
+		t.Fatalf("completions: rank0=%d rank1=%d, want %d each", c0.Load(), c1.Load(), want0)
+	}
+	if err := c0.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

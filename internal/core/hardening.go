@@ -139,7 +139,7 @@ func (d *Device) checkRecvTimeout(epoch uint64, tok uint32, st *rdvState) {
 	if d.tel.Counting() {
 		d.tc.Retransmits.Add(1)
 	}
-	d.sendControl(control{dst: st.src, rdev: st.rdev, hdr: st.hdr, tok: tok, owner: st})
+	d.sendControl(control{dst: st.src, rdev: int(st.seen.sdev), hdr: st.hdr, tok: tok, owner: st})
 }
 
 // failSend error-completes a sender-side operation: its prepared Done
@@ -159,7 +159,7 @@ func (d *Device) failSend(comp base.Comp, st base.Status, err error) {
 // reclaim AM buffers, and signal the receive's completion object.
 func (d *Device) failRecv(st *rdvState, err error) {
 	d.net.DeregisterMem(st.rkey)
-	d.noteSeenDone(st.src, st.senderToken)
+	d.noteSeenDone(st.seen)
 	if d.tel.Counting() && errors.Is(err, network.ErrPeerDead) {
 		d.tc.PeerDeadErrors.Add(1)
 	}
@@ -291,14 +291,13 @@ func (d *Device) abortInFlight() {
 	}
 }
 
-// rdvAdmit decides whether an arriving RTS is the first of its (src,
-// sender-token) kind. A duplicate of a parked RTS is dropped (the
-// original is still queued); a duplicate of an invited one re-sends the
-// identical RTR (the first may have been lost); a duplicate of a
-// completed one hits the tombstone and is absorbed. Sender tokens carry a
-// generation, so a key never legitimately recurs.
-func (d *Device) rdvAdmit(src int, token uint64) bool {
-	key := rdvSeenKey{src: src, token: token}
+// rdvAdmit decides whether an arriving RTS is the first of its kind. A
+// duplicate of a parked RTS is dropped (the original is still queued); a
+// duplicate of an invited one re-sends the identical RTR (the first may
+// have been lost); a duplicate of a completed one hits the tombstone and
+// is absorbed. The key carries the sender's RTS sequence, so it never
+// legitimately recurs.
+func (d *Device) rdvAdmit(key rdvSeenKey) bool {
 	d.seenMu.Lock()
 	e, dup := d.seen[key]
 	if !dup {
@@ -316,17 +315,16 @@ func (d *Device) rdvAdmit(src int, token uint64) bool {
 			d.tc.Retransmits.Add(1)
 		}
 		// No owner: a peer death is reported by the dead-rank sweep.
-		d.sendControl(control{dst: src, rdev: e.rdev, hdr: e.hdr})
+		d.sendControl(control{dst: int(key.src), rdev: int(key.sdev), hdr: e.hdr})
 	}
 	return false
 }
 
-// rdvInvited records that the handshake for (src, token) has been
-// answered with hdr, so duplicate RTS arrivals can re-send it verbatim.
-func (d *Device) rdvInvited(src int, token uint64, hdr header) {
-	key := rdvSeenKey{src: src, token: token}
+// rdvInvited records that the handshake named by key has been answered
+// with hdr, so duplicate RTS arrivals can re-send it verbatim.
+func (d *Device) rdvInvited(key rdvSeenKey, hdr header) {
 	d.seenMu.Lock()
-	d.seen[key] = rdvSeenEntry{state: seenInvited, rdev: int(token >> 32), hdr: hdr}
+	d.seen[key] = rdvSeenEntry{state: seenInvited, hdr: hdr}
 	d.seenMu.Unlock()
 }
 
@@ -335,8 +333,7 @@ func (d *Device) rdvInvited(src int, token uint64, hdr header) {
 // bound; a duplicate arriving after eviction would re-enter as parked and
 // wedge only if it could still match — it cannot, because its sender
 // token generation is stale and the write-imm path suppresses it.
-func (d *Device) noteSeenDone(src int, token uint64) {
-	key := rdvSeenKey{src: src, token: token}
+func (d *Device) noteSeenDone(key rdvSeenKey) {
 	d.seenMu.Lock()
 	if d.seen[key].state != seenDone {
 		d.seen[key] = rdvSeenEntry{state: seenDone}

@@ -112,6 +112,7 @@ type rtsArrival struct {
 	tag   int
 	size  int
 	token uint64
+	seq   uint64 // sender device's RTS sequence (seen-set key)
 	dev   *Device
 }
 
@@ -321,6 +322,7 @@ func (rt *Runtime) postRendezvous(rank int, buf []byte, hdr header, comp base.Co
 	token := d.tokens.alloc(ss)
 	hdr.token = uint64(d.Index())<<32 | uint64(token)
 	hdr.size = uint32(len(buf))
+	hdr.rkey = d.rtsSeq.Add(1)
 	ss.hdr = hdr
 	d.armTimeout(&ss.lastEpoch)
 

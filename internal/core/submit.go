@@ -38,6 +38,18 @@ func retryable(err error) bool {
 
 var errNoPacket = errors.New("lci: packet pool empty")
 
+// noPacket is the error for an empty packet pool on a message to dst:
+// errNoPacket, unless dst is already dead. A dead peer makes the message
+// fatal whether or not a packet turns up, and a parked one must not hold
+// the backlog head — every later entry, to live peers too — waiting for
+// a packet only to fail then.
+func (d *Device) noPacket(dst int) error {
+	if d.inj != nil && d.inj.Dead(dst) {
+		return network.ErrPeerDead
+	}
+	return errNoPacket
+}
+
 // submit makes one attempt of s on d and settles the outcome:
 //   - the attempt went out: a zero Status (Done) and nil;
 //   - a fatal error: the error, for the caller to return or report;
@@ -120,7 +132,7 @@ type eagerSend struct {
 func (s eagerSend) try(d *Device, parked bool) error {
 	pkt := s.w.Get()
 	if pkt == nil {
-		return errNoPacket
+		return d.noPacket(s.rank)
 	}
 	s.hdr.encode(pkt.Data)
 	n := copy(pkt.Data[headerSize:], s.buf)
@@ -159,7 +171,7 @@ type control struct {
 func (c control) try(d *Device, _ bool) error {
 	pkt := c.w.Get()
 	if pkt == nil {
-		return errNoPacket
+		return d.noPacket(c.dst)
 	}
 	c.hdr.encode(pkt.Data)
 	d.crossDelay(c.w)

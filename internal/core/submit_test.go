@@ -298,11 +298,9 @@ func TestParkedOpsFailOnPeerDeath(t *testing.T) {
 				t.Fatalf("post = %+v, %v; want it parked (Posted/RetryBacklog)", st, err)
 			}
 			inj.KillRank(1)
-			// Give the starved pool packets again: the device worker steals
-			// from the new worker, so the parked post reaches the fabric
-			// and meets the dead peer.
+			// The pool stays starved: a parked packet post must fail on
+			// the dead peer without waiting for a packet.
 			pool := w.rts[0].Pool()
-			w.rts[0].RegisterWorker()
 			d := w.rts[0].DefaultDevice()
 			for r := 0; r < 10_000 && (c.Load() == 0 || d.BacklogLen() > 0); r++ {
 				w.rts[0].ProgressAll()

@@ -13,6 +13,9 @@ import (
 // suppressed instead of resolving to whatever now occupies the slot. A
 // message would have to stay in flight across 65536 release/alloc cycles
 // of one slot to alias — the same discipline as handler-slot epochs.
+// State that outlives a message (the receiver's seen-set tombstones) is
+// not keyed on tokens: one slot can cycle that often while a tombstone
+// is still held.
 const (
 	tokenIndexBits = 16
 	tokenIndexMask = 1<<tokenIndexBits - 1

@@ -66,7 +66,7 @@ type header struct {
 	rcomp  base.RComp // eager-AM/RTS-AM: target rcomp; RTR: receiver token
 	size   uint32     // payload size (eager) or total message size (RTS)
 	token  uint64     // rendezvous sender token (RTS, echoed by RTR)
-	rkey   uint64     // RTR: registered rkey of the receive buffer
+	rkey   uint64     // RTR: registered rkey of the receive buffer; RTS: sender's RTS sequence
 }
 
 // encode writes the header into buf[:headerSize].
