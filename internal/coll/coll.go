@@ -211,7 +211,7 @@ func (c *Comm) Runtime() *core.Runtime { return c.rt }
 func (c *Comm) prep(o *core.Options) {
 	o.Engine = c.me
 	o.Policy = base.MatchRankTag
-	o.Remote = nil
+	o.Remote, o.RemoteSet = core.RemoteBuffer{}, false
 	o.RComp = base.InvalidRComp
 	o.RemoteDevice = 0
 	o.RemoteDeviceSet = false

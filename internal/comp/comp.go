@@ -144,11 +144,13 @@ var _ base.Comp = (*Sync)(nil)
 // LCRQ-style unbounded MPMC queue; NewFixedQueue gives the bounded
 // fetch-and-add array variant (§5.1.4).
 type Queue struct {
-	// mayHave is a conservative non-emptiness hint: set after every
+	// mayHave is a conservative non-emptiness hint: raised after every
 	// Signal, cleared by a failed Pop. Progress loops pop far more often
 	// than signals arrive, and the hint turns an empty Pop into a single
 	// load of this struct's first cache line instead of a walk of the
-	// queue's internals.
+	// queue's internals. Signal stores it only when it reads false, so a
+	// steady stream of signals to a busy queue leaves the line shared
+	// instead of writing it on every completion.
 	mayHave atomic.Bool
 	q       *mpmc.Queue[base.Status] // nil when r is used
 	r       *mpmc.Ring[base.Status]
@@ -172,23 +174,25 @@ func NewFixedQueue(capacity int) *Queue {
 func (q *Queue) Signal(s base.Status) {
 	if q.q != nil {
 		q.q.Enqueue(s)
-		q.mayHave.Store(true)
-		return
-	}
-	if !q.r.Enqueue(s) {
+	} else if !q.r.Enqueue(s) {
 		q.dropped.Add(1)
 		return
 	}
-	q.mayHave.Store(true)
+	if !q.mayHave.Load() {
+		q.mayHave.Store(true)
+	}
 }
 
 // Pop removes the oldest completion, reporting false when the queue is
 // empty (the cq_pop "retry" case in the paper's Listing 2).
 //
-// The hint protocol never loses an element: every Signal stores true
-// AFTER its enqueue, and Pop re-checks the queue AFTER storing false, so
-// an element missed by the re-check was enqueued later and its producer's
-// store of true also lands later, overwriting the false.
+// The hint protocol never loses an element. Every Signal loads the hint
+// AFTER its enqueue and stores true if it read false; Pop re-checks the
+// queue AFTER storing false. If the producer's load read false, its store
+// of true comes after that false and overwrites it. If the load read
+// true, then any false it missed was stored after the load, so after the
+// enqueue (the atomics are sequentially consistent), and the re-check
+// that follows that store sees the element.
 func (q *Queue) Pop() (base.Status, bool) {
 	if !q.mayHave.Load() {
 		return base.Status{}, false

@@ -67,7 +67,8 @@ type Device struct {
 	attention        atomic.Bool
 	rdvTimeoutEpochs int
 	rdvMaxAttempts   int
-	rdvEpoch         atomic.Uint64 // progress epochs counted while rendezvous are live
+	rdvEpoch         atomic.Uint64 // timeout-clock epochs counted while rendezvous are live
+	rdvEpochAt       atomic.Int64  // telemetry.Now of the epoch's last advance
 	deadGen          atomic.Uint64 // last injector death generation reacted to
 	rdvMu            spin.Lock     // admits one timeout scanner at a time
 	rdvScratch       []tokenRef
@@ -366,16 +367,18 @@ func (d *Device) handleRxPacket(pkt *packet.Packet, src, length int, w *packet.W
 		// (5) insert the incoming send into the matching engine.
 		eng := d.rt.engineByID(h.engine)
 		key := matching.MakeKey(src, int(h.tag), h.policy)
-		arrival := &eagerArrival{pkt: pkt, src: src, tag: int(h.tag), size: int(h.size)}
 		if d.tel.Tracing() {
 			d.ring.Add(telemetry.EvDeliver, d.Index(), src, uint64(uint32(h.tag)))
 		}
-		if m, ok := eng.Insert(key, matching.Send, arrival); ok {
+		// The packet is the arrival: tag and size are in its header, and
+		// the source rank is recorded on it.
+		pkt.Src = src
+		if m, ok := eng.Insert(key, matching.Send, pkt); ok {
 			if d.tel.Counting() {
 				d.tc.MatchHits.Add(1)
 			}
 			rop := m.(*recvOp)
-			d.completeEagerRecv(rop, arrival, w)
+			rop.comp.Signal(completeEagerRecv(rop.buf, rop.ctx, pkt, w))
 		} else if d.tel.Counting() {
 			d.tc.MatchUnexpected.Add(1)
 		}
@@ -465,15 +468,18 @@ func (d *Device) handleRxPacket(pkt *packet.Packet, src, length int, w *packet.W
 	}
 }
 
-// completeEagerRecv copies a matched eager arrival into the posted receive
-// buffer and signals its completion object.
-func (d *Device) completeEagerRecv(rop *recvOp, ea *eagerArrival, w *packet.Worker) {
-	n := copy(rop.buf, ea.pkt.Data[headerSize:headerSize+ea.size])
-	w.Put(ea.pkt)
-	rop.comp.Signal(base.Status{
-		State: base.Done, Rank: ea.src, Tag: ea.tag,
-		Buffer: rop.buf[:n], Size: n, Ctx: rop.ctx,
-	})
+// completeEagerRecv copies a matched eager arrival — a packet parked or
+// just received — into buf, recycles the packet, and returns the receive's
+// completion status.
+func completeEagerRecv(buf []byte, ctx any, pkt *packet.Packet, w *packet.Worker) base.Status {
+	h := decodeHeader(pkt.Data)
+	n := copy(buf, pkt.Data[headerSize:headerSize+int(h.size)])
+	src := pkt.Src
+	w.Put(pkt)
+	return base.Status{
+		State: base.Done, Rank: src, Tag: int(h.tag),
+		Buffer: buf[:n], Size: n, Ctx: ctx,
+	}
 }
 
 // startRTR reacts to a matched RTS: register the receive buffer and send

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"lci/internal/base"
 	"lci/internal/comp"
@@ -180,6 +181,60 @@ func TestRendezvousTimeoutAtCap(t *testing.T) {
 	}
 	if re != 3 {
 		t.Fatalf("Retransmits = %d, want 3 (the configured cap)", re)
+	}
+}
+
+// TestRendezvousTimeoutIsTime: the timeout clock runs on monotonic time,
+// not on the count of local progress calls. With the chaos soak's budget
+// (128 epochs, 24 attempts) a sender spinning alone on progress for 20 ms
+// — hundreds of thousands of calls while its peer is descheduled — must
+// not exhaust its retransmits: once the peer runs, both sides complete
+// without error.
+func TestRendezvousTimeoutIsTime(t *testing.T) {
+	rts := newFaultRuntimes(t, 2, nil, Config{
+		RendezvousTimeoutEpochs: 128, RendezvousMaxAttempts: 24,
+	})
+	defer rts[0].Close()
+	defer rts[1].Close()
+
+	src := make([]byte, 256<<10)
+	for i := range src {
+		src[i] = byte(i * 5)
+	}
+	dst := make([]byte, len(src))
+	sc, rc := &comp.Counter{}, &comp.Counter{}
+	if _, err := rts[1].PostRecv(0, dst, 11, rc, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rts[0].PostSend(1, src, 11, sc, Options{DisallowRetry: true}); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	for start := time.Now(); time.Since(start) < 20*time.Millisecond; calls++ {
+		rts[0].ProgressAll()
+	}
+	// The clock still fires: keep the receiver descheduled until the
+	// sender has retransmitted its RTS at least once.
+	for deadline := time.Now().Add(5 * time.Second); ; calls++ {
+		if re, _, _, _, _ := sumHardening(rts[0]); re >= 1 || sc.Load() > 0 || time.Now().After(deadline) {
+			break
+		}
+		rts[0].ProgressAll()
+	}
+	if sc.Load() > 0 {
+		t.Fatalf("send completed after %d sender-only progress calls: %v", calls, sc.Err())
+	}
+	if re, _, _, _, _ := sumHardening(rts[0]); re < 1 {
+		t.Fatalf("sender never retransmitted in %d progress calls", calls)
+	}
+	progressUntil(t, rts, 10_000_000, func() bool { return sc.Load() >= 1 && rc.Load() >= 1 })
+	if sc.Err() != nil || rc.Err() != nil {
+		t.Fatalf("after %d sender-only progress calls: send=%v recv=%v", calls, sc.Err(), rc.Err())
+	}
+	for i := range dst {
+		if dst[i] != src[i] {
+			t.Fatalf("payload corrupt at %d", i)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"lci/internal/fault"
 	"lci/internal/matching"
 	"lci/internal/network"
+	"lci/internal/telemetry"
 )
 
 // This file is the failure-domain half of the progress engine. It runs on
@@ -24,12 +25,18 @@ import (
 //     re-sent verbatim, and duplicates are suppressed by token generations
 //     (sender and receiver side) plus the receiver's seen-set.
 
-// rdvScanEvery spaces timeout scans: the epoch counter ticks on every
-// progress round with rendezvous live, and the scanner walks the token
-// table once per rdvScanEvery ticks. A "timeout" is therefore
-// RendezvousTimeoutEpochs progress epochs, measured with rdvScanEvery
-// granularity.
-const rdvScanEvery = 64
+// The rendezvous timeout clock. Its epoch advances on a progress round
+// with rendezvous live, but at most once per rdvEpochNs of monotonic
+// time, and the scanner walks the token table once per rdvScanEvery
+// epochs. A timeout of RendezvousTimeoutEpochs therefore lasts at least
+// that many × 20 µs, measured with rdvScanEvery granularity, however fast
+// the device is progressed: a sender spinning on progress while its peer
+// is descheduled cannot use its retransmit budget up in a few
+// milliseconds.
+const (
+	rdvEpochNs   = 20_000
+	rdvScanEvery = 64
+)
 
 // tick is the failure-domain prologue of a progress round that has the
 // device's attention (see Device.attention): notice rank deaths (one
@@ -43,15 +50,28 @@ func (d *Device) tick() {
 		d.sweepDead(inj)
 	}
 	if d.rdvTimeoutEpochs > 0 && d.tokens.live() > 0 {
-		if e := d.rdvEpoch.Add(1); e%rdvScanEvery == 0 {
-			d.scanRdvTimeouts(e)
-		}
+		d.advanceRdvClock()
 		return
 	}
 	d.attention.Store(false)
 	if (d.inj != nil && d.inj.DeadGen() != d.deadGen.Load()) ||
 		(d.rdvTimeoutEpochs > 0 && d.tokens.live() > 0) {
 		d.attention.Store(true)
+	}
+}
+
+// advanceRdvClock moves the rendezvous epoch on when a quantum has passed
+// since its last move, and scans for overdue handshakes every
+// rdvScanEvery epochs. The compare-and-swap on the quantum's start admits
+// one advance per quantum among concurrent progress callers.
+func (d *Device) advanceRdvClock() {
+	now := telemetry.Now()
+	last := d.rdvEpochAt.Load()
+	if now-last < rdvEpochNs || !d.rdvEpochAt.CompareAndSwap(last, now) {
+		return
+	}
+	if e := d.rdvEpoch.Add(1); e%rdvScanEvery == 0 {
+		d.scanRdvTimeouts(e)
 	}
 }
 

@@ -12,8 +12,10 @@ import (
 )
 
 // Options are the optional arguments of a communication posting operation.
-// The public package converts its functional options into this struct —
-// Go's equivalent of the paper's named-parameter idiom (§4.1).
+// The public package applies its value options into this struct — Go's
+// equivalent of the paper's named-parameter idiom (§4.1). It is passed by
+// value and holds no pointer of its own making, so building one allocates
+// nothing.
 type Options struct {
 	// Device selects the posting device. When nil, the post uses the
 	// Affinity's pinned device if one is set, and otherwise stripes
@@ -40,8 +42,12 @@ type Options struct {
 	// PostAM). The core Post* entry points take comp positionally and
 	// ignore this field.
 	LocalComp base.Comp
-	// Remote supplies the remote buffer for RMA operations (Table 1).
-	Remote *RemoteBuffer
+	// Remote supplies the remote buffer for RMA operations (Table 1); it
+	// is honored only when RemoteSet is true.
+	Remote RemoteBuffer
+	// RemoteSet marks Remote as given, selecting the RMA paradigms (a
+	// zero rkey and offset are valid operands).
+	RemoteSet bool
 	// RemoteDevice selects which peer endpoint handles the operation; it
 	// is honored only when RemoteDeviceSet is true (device 0 included).
 	// Without the flag the operation goes to the default endpoint: the
@@ -90,15 +96,6 @@ type recvOp struct {
 	buf  []byte
 	comp base.Comp
 	ctx  any
-}
-
-// eagerArrival is an unexpected eager message parked in the matching
-// engine (it owns its packet until matched).
-type eagerArrival struct {
-	pkt  *packet.Packet
-	src  int
-	tag  int
-	size int
 }
 
 // rtsArrival is an unexpected rendezvous announcement parked in the
@@ -195,18 +192,18 @@ func (rt *Runtime) PostComm(dir base.Direction, rank int, buf []byte, tag int, c
 	switch dir {
 	case base.Out:
 		switch {
-		case opts.Remote == nil && opts.RComp == base.InvalidRComp:
+		case !opts.RemoteSet && opts.RComp == base.InvalidRComp:
 			return rt.postSend(rank, buf, tag, comp, opts)
-		case opts.Remote == nil:
+		case !opts.RemoteSet:
 			return rt.postAM(rank, buf, tag, comp, opts)
 		default:
 			return rt.postPut(rank, buf, tag, comp, opts)
 		}
 	case base.In:
 		switch {
-		case opts.Remote == nil && opts.RComp == base.InvalidRComp:
+		case !opts.RemoteSet && opts.RComp == base.InvalidRComp:
 			return rt.postRecv(rank, buf, tag, comp, opts)
-		case opts.Remote == nil:
+		case !opts.RemoteSet:
 			// IN + remote completion without remote buffer is the one
 			// invalid combination in Table 1.
 			return base.Status{}, fmt.Errorf("%w: IN direction with a remote completion requires a remote buffer", ErrInvalidArgument)
@@ -243,7 +240,7 @@ func (rt *Runtime) PostAM(rank int, buf []byte, tag int, comp base.Comp, opts Op
 // PostPut posts an RMA put; opts.Remote names the target buffer and an
 // optional opts.RComp adds the signal.
 func (rt *Runtime) PostPut(rank int, buf []byte, tag int, comp base.Comp, opts Options) (base.Status, error) {
-	if opts.Remote == nil {
+	if !opts.RemoteSet {
 		return base.Status{}, fmt.Errorf("%w: put requires a remote buffer", ErrInvalidArgument)
 	}
 	return rt.postPut(rank, buf, tag, comp, opts)
@@ -251,7 +248,7 @@ func (rt *Runtime) PostPut(rank int, buf []byte, tag int, comp base.Comp, opts O
 
 // PostGet posts an RMA get; opts.Remote names the source buffer.
 func (rt *Runtime) PostGet(rank int, buf []byte, comp base.Comp, opts Options) (base.Status, error) {
-	if opts.Remote == nil {
+	if !opts.RemoteSet {
 		return base.Status{}, fmt.Errorf("%w: get requires a remote buffer", ErrInvalidArgument)
 	}
 	return rt.postGet(rank, buf, comp, opts)
@@ -410,14 +407,9 @@ func (rt *Runtime) postRecv(rank int, buf []byte, tag int, comp base.Comp, opts 
 		d.tc.RecvMatched.Add(1)
 	}
 	switch arr := m.(type) {
-	case *eagerArrival:
+	case *packet.Packet:
 		// (9) matched an unexpected eager message: complete immediately.
-		n := copy(buf, arr.pkt.Data[headerSize:headerSize+arr.size])
-		opts.worker(d).Put(arr.pkt)
-		return base.Status{
-			State: base.Done, Rank: arr.src, Tag: arr.tag,
-			Buffer: buf[:n], Size: n, Ctx: opts.Ctx,
-		}, nil
+		return completeEagerRecv(buf, opts.Ctx, arr, opts.worker(d)), nil
 	case *rtsArrival:
 		// (10) matched a rendezvous announcement: reply with RTR through
 		// the device the RTS arrived on (the sender's token and the wire

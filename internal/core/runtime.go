@@ -81,12 +81,15 @@ type Config struct {
 	// histograms on, lifecycle trace off (telemetry.Config).
 	Telemetry telemetry.Config
 	// RendezvousTimeoutEpochs arms the rendezvous handshake timeout: an
-	// RTS (sender) or RTR (receiver) outstanding for this many
-	// progress-engine epochs is retransmitted, up to
-	// RendezvousMaxAttempts, after which the operation error-completes
-	// with ErrTimeout. 0 (the default) disables timeouts entirely — a
-	// legitimately late PostRecv may park an RTS arbitrarily long, so
-	// only fault-tolerant workloads (and the chaos gates) opt in.
+	// RTS (sender) or RTR (receiver) outstanding for this many epochs is
+	// retransmitted, up to RendezvousMaxAttempts, after which the
+	// operation error-completes with ErrTimeout. An epoch is at least
+	// 20 µs of monotonic time during which the device was progressed (the
+	// clock moves on a progress round, at most once per 20 µs), checked
+	// every 64 epochs; so 128 epochs is a timeout of about 2.6–3.8 ms.
+	// 0 (the default) disables timeouts entirely — a legitimately late
+	// PostRecv may park an RTS arbitrarily long, so only fault-tolerant
+	// workloads (and the chaos gates) opt in.
 	RendezvousTimeoutEpochs int
 	// RendezvousMaxAttempts caps handshake retransmissions per operation
 	// (default 8 when timeouts are enabled).

@@ -259,10 +259,10 @@ func TestParkedOpsFailOnPeerDeath(t *testing.T) {
 			return w.rts[0].PostSend(1, make([]byte, w.rts[0].MaxEager()+1), 3, c, Options{DisallowRetry: true})
 		}},
 		{"put", func(w world, c base.Comp) (base.Status, error) {
-			return w.rts[0].PostPut(1, make([]byte, 64), 4, c, Options{Remote: &RemoteBuffer{RKey: w.rkey}, DisallowRetry: true})
+			return w.rts[0].PostPut(1, make([]byte, 64), 4, c, Options{Remote: RemoteBuffer{RKey: w.rkey}, RemoteSet: true, DisallowRetry: true})
 		}},
 		{"get", func(w world, c base.Comp) (base.Status, error) {
-			return w.rts[0].PostGet(1, make([]byte, 64), c, Options{Remote: &RemoteBuffer{RKey: w.rkey}, DisallowRetry: true})
+			return w.rts[0].PostGet(1, make([]byte, 64), c, Options{Remote: RemoteBuffer{RKey: w.rkey}, RemoteSet: true, DisallowRetry: true})
 		}},
 	}
 	const preRecvs = 4
@@ -288,7 +288,7 @@ func TestParkedOpsFailOnPeerDeath(t *testing.T) {
 			rkey, _ := w.rts[1].RegisterMemory(nil, make([]byte, 64))
 			w.rkey = rkey
 			w.rc = w.rts[1].RegisterHandler(func(base.Status) {})
-			if _, err := w.rts[0].PostPut(1, make([]byte, 8), 0, nil, Options{Remote: &RemoteBuffer{RKey: rkey}}); err != nil {
+			if _, err := w.rts[0].PostPut(1, make([]byte, 8), 0, nil, Options{Remote: RemoteBuffer{RKey: rkey}, RemoteSet: true}); err != nil {
 				t.Fatal(err)
 			}
 

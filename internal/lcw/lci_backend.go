@@ -107,9 +107,9 @@ type lciThread struct {
 	sendLocalDone int64 // sends completed inline (inject path)
 	recvLocalDone int64
 
-	// opts is the thread's posting-option struct, built once: the
-	// functional-option rendering (lci.WithDevice, ...) allocates a slice
-	// and closures per call, which the per-message fast path cannot afford.
+	// opts is the thread's posting-option struct, built once, so the
+	// per-message path posts straight through core without re-applying
+	// options on every call.
 	opts core.Options
 
 	// The record path (set by Records): this thread's aggregation handle

@@ -38,6 +38,10 @@ import (
 // or keep the packet checked out until they are drained.
 type Packet struct {
 	Data []byte
+	// Src is the source rank of a received packet, recorded by the
+	// receiver for as long as it holds the packet (an unexpected message
+	// parked in a matching engine is the packet itself).
+	Src  int
 	pool *Pool
 }
 

@@ -50,9 +50,9 @@
 //
 // Two-sided send/receive works the same way with PostSend/PostRecv and a
 // completion object (queue, counter, sync) in place of the handler.
-// Optional arguments use functional options — Go's equivalent of the
-// paper's C++ named-parameter idiom (§4.1): start with the plain call and
-// refine it in any order, e.g.
+// Optional arguments are Option values — Go's equivalent of the paper's
+// C++ named-parameter idiom (§4.1): start with the plain call and refine
+// it in any order, e.g.
 //
 //	rt.PostAM(peer, buf, rcomp, lci.WithTag(7), lci.WithDevice(dev))
 //	rt.PostSend(peer, buf, tag, cq, lci.WithDevice(dev), lci.WithMatchingEngine(me))
@@ -207,7 +207,7 @@ type World struct {
 	telOverride   *TelemetryConfig
 
 	// inj is the WithFaultInjector choice, installed on the fabric at
-	// NewWorld so every runtime builds hardened (faults.go).
+	// NewWorld, before any runtime reads it (faults.go).
 	inj *fault.Injector
 
 	// mu guards rts, the runtimes built from this world; Close finalizes

@@ -1,11 +1,8 @@
 package lci
 
-import (
-	"lci/internal/base"
-	"lci/internal/core"
-)
+import "lci/internal/core"
 
-// Option is a functional option for communication posting operations —
+// Option is an optional argument of a communication posting operation —
 // the Go rendering of the paper's named-parameter idiom (§4.1):
 //
 //	C++:  post_send_x(rank, buf, size, tag, comp).device(d)();
@@ -13,34 +10,61 @@ import (
 //
 // Options compose in any order, and every posting operation accepts every
 // option (irrelevant ones are ignored), exactly like the C++ `_x`
-// variants.
-type Option func(*core.Options)
+// variants; a repeated option's last occurrence wins.
+//
+// An Option is a plain value — which argument it sets plus its operand —
+// built by the With* constructors. Posting applies a list of them with one
+// switch, so passing options costs no heap allocation: the small-message
+// path the paper optimizes stays allocation-free through the public API.
+type Option struct {
+	kind optKind
+	// The operand. ref holds pointers, completion objects and user
+	// contexts as given, so no value is boxed; n holds the integer
+	// operands, off a remote buffer's offset (its rkey is in n), and name
+	// a collective algorithm.
+	n    uint64
+	off  uint64
+	ref  any
+	name string
+}
+
+type optKind uint8
+
+const (
+	optNone optKind = iota
+	optDevice
+	optAffinity
+	optEngine
+	optPolicy
+	optRComp
+	optTag
+	optLocalComp
+	optRemoteBuffer
+	optRemoteSize
+	optRemoteDevice
+	optContext
+	optWorker
+	optCollAlgorithm
+	optNoRetry
+)
 
 // WithDevice posts the operation on a specific device instead of letting
 // the runtime stripe it across the device pool. One device per thread is
 // the dedicated-resource mode of the paper's evaluation.
-func WithDevice(d *Device) Option {
-	return func(o *core.Options) { o.Device = d }
-}
+func WithDevice(d *Device) Option { return Option{kind: optDevice, ref: d} }
 
 // WithAffinity posts with a goroutine's pinned device and packet worker
 // (Runtime.RegisterThread) in one option — the multi-device analogue of
 // WithDevice+WithWorker.
-func WithAffinity(a *Affinity) Option {
-	return func(o *core.Options) { o.Affinity = a }
-}
+func WithAffinity(a *Affinity) Option { return Option{kind: optAffinity, ref: a} }
 
 // WithMatchingEngine matches on a specific engine instead of the runtime
 // default (send/recv only).
-func WithMatchingEngine(me *MatchEngine) Option {
-	return func(o *core.Options) { o.Engine = me }
-}
+func WithMatchingEngine(me *MatchEngine) Option { return Option{kind: optEngine, ref: me} }
 
 // WithPolicy sets the matching policy. Both sides of a send-receive pair
 // must agree on the policy (restricted wildcard matching, §4.3.2).
-func WithPolicy(p MatchingPolicy) Option {
-	return func(o *core.Options) { o.Policy = p }
-}
+func WithPolicy(p MatchingPolicy) Option { return Option{kind: optPolicy, n: uint64(p)} }
 
 // WithRemoteComp names a remote completion target registered at the
 // destination rank: either a completion object (RegisterRComp — queue,
@@ -56,71 +80,44 @@ func WithPolicy(p MatchingPolicy) Option {
 // carries the handle, the target allocates the delivery buffer (via
 // SetAMAllocator, plain make by default) and pulls the data, and the
 // handler fires once the payload has landed.
-func WithRemoteComp(rc RComp) Option {
-	return func(o *core.Options) { o.RComp = rc }
-}
+func WithRemoteComp(rc RComp) Option { return Option{kind: optRComp, n: uint64(rc)} }
 
 // WithTag sets the message tag on posting operations whose signature does
 // not take it positionally (PostAM; default tag 0). AM tags are delivered
 // in the status and are purely a payload discriminator — active messages
 // never pass through a matching engine.
-func WithTag(tag int) Option {
-	return func(o *core.Options) { o.Tag = tag }
-}
+func WithTag(tag int) Option { return Option{kind: optTag, n: uint64(tag)} }
 
 // WithLocalComp attaches a source-side completion object to posting
 // operations whose signature does not take one positionally (PostAM): it
 // is signaled when the outgoing payload has been injected (eager) or
 // pulled by the target (rendezvous), exactly like the positional comp of
 // PostSend. Without it, source-side completion is fire-and-forget.
-func WithLocalComp(c Comp) Option {
-	return func(o *core.Options) { o.LocalComp = c }
-}
+func WithLocalComp(c Comp) Option { return Option{kind: optLocalComp, ref: c} }
 
 // WithRemoteBuffer names registered remote memory, selecting the RMA
 // paradigms of Table 1 (put for OUT, get for IN).
 func WithRemoteBuffer(rkey, offset uint64) Option {
-	return func(o *core.Options) {
-		if o.Remote == nil {
-			o.Remote = &core.RemoteBuffer{}
-		}
-		o.Remote.RKey = rkey
-		o.Remote.Offset = offset
-	}
+	return Option{kind: optRemoteBuffer, n: rkey, off: offset}
 }
 
-// WithRemoteSize bounds the bytes moved by a get.
-func WithRemoteSize(n int) Option {
-	return func(o *core.Options) {
-		if o.Remote == nil {
-			o.Remote = &core.RemoteBuffer{}
-		}
-		o.Remote.Size = n
-	}
-}
+// WithRemoteSize bounds the bytes moved by a get. Like WithRemoteBuffer,
+// it marks the operation as remote-memory access.
+func WithRemoteSize(n int) Option { return Option{kind: optRemoteSize, n: uint64(n)} }
 
 // WithRemoteDevice selects which peer endpoint receives the operation
 // (default: the posting device's own index — symmetric jobs pair device i
 // with device i). Device 0 is explicitly addressable: the option records
 // that a choice was made rather than treating 0 as "unset".
-func WithRemoteDevice(idx int) Option {
-	return func(o *core.Options) {
-		o.RemoteDevice = idx
-		o.RemoteDeviceSet = true
-	}
-}
+func WithRemoteDevice(idx int) Option { return Option{kind: optRemoteDevice, n: uint64(idx)} }
 
 // WithContext attaches an opaque user context that completion statuses
 // carry back.
-func WithContext(ctx any) Option {
-	return func(o *core.Options) { o.Ctx = ctx }
-}
+func WithContext(ctx any) Option { return Option{kind: optContext, ref: ctx} }
 
 // WithWorker uses the calling goroutine's registered packet-pool worker
 // for packet traffic (locality; see Runtime.RegisterWorker).
-func WithWorker(w *Worker) Option {
-	return func(o *core.Options) { o.Worker = w }
-}
+func WithWorker(w *Worker) Option { return Option{kind: optWorker, ref: w} }
 
 // WithCollAlgorithm forces a collective's algorithm instead of the
 // message-size/rank-count heuristic: CollDissemination (barrier),
@@ -128,21 +125,49 @@ func WithWorker(w *Worker) Option {
 // CollRDouble / CollReduceBcast (allreduce), CollRing (allgather). A
 // name the collective does not implement fails the call; every rank must
 // choose the same algorithm. Point-to-point posts ignore the option.
-func WithCollAlgorithm(name string) Option {
-	return func(o *core.Options) { o.CollAlgorithm = name }
-}
+func WithCollAlgorithm(name string) Option { return Option{kind: optCollAlgorithm, name: name} }
 
 // WithNoRetry diverts transient resource exhaustion to the device's
 // backlog queue instead of returning a Retry status; the post then always
 // reports Posted.
-func WithNoRetry() Option {
-	return func(o *core.Options) { o.DisallowRetry = true }
-}
+func WithNoRetry() Option { return Option{kind: optNoRetry} }
 
+// buildOpts applies opts in order. It is one switch over value options
+// with no indirect call, so the result stays on the caller's stack.
 func buildOpts(opts []Option) core.Options {
 	var o core.Options
-	for _, f := range opts {
-		f(&o)
+	for i := range opts {
+		opt := &opts[i]
+		switch opt.kind {
+		case optDevice:
+			o.Device, _ = opt.ref.(*Device)
+		case optAffinity:
+			o.Affinity, _ = opt.ref.(*Affinity)
+		case optEngine:
+			o.Engine, _ = opt.ref.(*MatchEngine)
+		case optPolicy:
+			o.Policy = MatchingPolicy(opt.n)
+		case optRComp:
+			o.RComp = RComp(opt.n)
+		case optTag:
+			o.Tag = int(opt.n)
+		case optLocalComp:
+			o.LocalComp, _ = opt.ref.(Comp)
+		case optRemoteBuffer:
+			o.Remote.RKey, o.Remote.Offset, o.RemoteSet = opt.n, opt.off, true
+		case optRemoteSize:
+			o.Remote.Size, o.RemoteSet = int(opt.n), true
+		case optRemoteDevice:
+			o.RemoteDevice, o.RemoteDeviceSet = int(opt.n), true
+		case optContext:
+			o.Ctx = opt.ref
+		case optWorker:
+			o.Worker, _ = opt.ref.(*Worker)
+		case optCollAlgorithm:
+			o.CollAlgorithm = opt.name
+		case optNoRetry:
+			o.DisallowRetry = true
+		}
 	}
 	return o
 }
@@ -191,23 +216,13 @@ func (rt *Runtime) PostAM(rank int, buf []byte, rcomp RComp, opts ...Option) (St
 // Add WithRemoteComp for put-with-signal.
 func (rt *Runtime) PostPut(rank int, buf []byte, tag int, rkey, offset uint64, comp Comp, opts ...Option) (Status, error) {
 	o := buildOpts(opts)
-	if o.Remote == nil {
-		o.Remote = &core.RemoteBuffer{}
-	}
-	o.Remote.RKey = rkey
-	o.Remote.Offset = offset
+	o.Remote.RKey, o.Remote.Offset, o.RemoteSet = rkey, offset, true
 	return rt.core.PostPut(rank, buf, tag, comp, o)
 }
 
 // PostGet reads the remote registered buffer (rkey, offset) into buf.
 func (rt *Runtime) PostGet(rank int, buf []byte, rkey, offset uint64, comp Comp, opts ...Option) (Status, error) {
 	o := buildOpts(opts)
-	if o.Remote == nil {
-		o.Remote = &core.RemoteBuffer{}
-	}
-	o.Remote.RKey = rkey
-	o.Remote.Offset = offset
+	o.Remote.RKey, o.Remote.Offset, o.RemoteSet = rkey, offset, true
 	return rt.core.PostGet(rank, buf, comp, o)
 }
-
-var _ = base.Done // keep the base import anchored for the aliases above
