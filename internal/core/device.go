@@ -77,46 +77,20 @@ type Device struct {
 	// device, RTS sequence): a parked duplicate is dropped, an
 	// already-invited one gets the identical RTR re-sent (idempotent —
 	// same receiver token, same rkey), and a completed one is absorbed by
-	// a tombstone retained in the bounded doneLog FIFO.
-	seenMu   spin.Mutex
-	seen     map[rdvSeenKey]rdvSeenEntry
-	doneLog  []rdvSeenKey
-	doneHead int
+	// one of the last seenTombstones tombstones (seen.go).
+	seenMu spin.Mutex
+	seen   seenSet
 	// rtsSeq numbers the rendezvous this device announces. The number
 	// rides in the RTS and names the handshake in the receiver's
 	// seen-set; unlike a token it never recurs, so a tombstone cannot
 	// absorb a later RTS.
 	rtsSeq atomic.Uint64
-}
 
-// rdvSeenKey names one sender-side rendezvous as the receiver sees it.
-// It is keyed on the sender device's RTS sequence, not on the sender
-// token: a token slot's 16-bit generation wraps after 65536 reuses, well
-// within the lifetime of a tombstone.
-type rdvSeenKey struct {
-	src, sdev int32
-	seq       uint64
-}
-
-// seenKey reads the seen-set key off an RTS header: the posting device's
-// index rides in the token's upper half, its RTS sequence in rkey.
-func seenKey(src int, h header) rdvSeenKey {
-	return rdvSeenKey{src: int32(src), sdev: int32(h.token >> 32), seq: h.rkey}
-}
-
-const (
-	seenParked  uint8 = iota + 1 // RTS parked in the matching engine, no RTR yet
-	seenInvited                  // RTR sent; duplicates re-send the stored header
-	seenDone                     // payload landed (or the rendezvous was failed)
-)
-
-// seenTombstones bounds the completed-entry FIFO absorbing late
-// duplicates.
-const seenTombstones = 1024
-
-type rdvSeenEntry struct {
-	state uint8
-	hdr   header
+	// Operation-record free lists (recycle.go).
+	recvOps    freeList[recvOp, *recvOp]
+	sendOps    freeList[sendOp, *sendOp]
+	sendStates freeList[sendState, *sendState]
+	rdvStates  freeList[rdvState, *rdvState]
 }
 
 // NewDevice allocates a new device (alloc_device in the paper) and adds
@@ -154,7 +128,6 @@ func (rt *Runtime) NewDevice() (*Device, error) {
 		ring:             rt.tel.Trace().NewRing(),
 		rdvTimeoutEpochs: rt.cfg.RendezvousTimeoutEpochs,
 		rdvMaxAttempts:   rt.cfg.RendezvousMaxAttempts,
-		seen:             make(map[rdvSeenKey]rdvSeenEntry),
 	}
 	d.bq.Init(16)
 	// Start raised: the first tick absorbs any deaths that predate the
@@ -319,10 +292,8 @@ func (d *Device) progressSlow(w *packet.Worker) int {
 func (d *Device) handleCompletion(c *network.Completion, w *packet.Worker) {
 	switch c.Kind {
 	case fabric.TxDone:
-		if c.Ctx != nil {
-			if op, ok := c.Ctx.(*sendOp); ok {
-				d.completeSend(op)
-			}
+		if op, ok := c.Ctx.(*sendOp); ok {
+			d.completeSend(op)
 		}
 	case fabric.RxSend:
 		pkt := c.Ctx.(*packet.Packet)
@@ -338,9 +309,9 @@ func (d *Device) handleCompletion(c *network.Completion, w *packet.Worker) {
 }
 
 // completeSend is the source-side completion fire (reaction 6): latency
-// sample, lifecycle event, then the completion-object signal. The sendOp
-// may carry no completion object at all — it then exists only to bring
-// its post timestamp to this point.
+// sample, lifecycle event, then the completion-object signal, after which
+// the sendOp is recycled. The sendOp may carry no completion object at
+// all — it then exists only to bring its post timestamp to this point.
 func (d *Device) completeSend(op *sendOp) {
 	if op.t0 != 0 {
 		dt := telemetry.Now() - op.t0
@@ -356,6 +327,7 @@ func (d *Device) completeSend(op *sendOp) {
 	if op.comp != nil {
 		op.comp.Signal(op.st)
 	}
+	op.recycle()
 }
 
 // handleRxPacket dispatches an arrived packet by wire kind.
@@ -379,6 +351,7 @@ func (d *Device) handleRxPacket(pkt *packet.Packet, src, length int, w *packet.W
 			}
 			rop := m.(*recvOp)
 			rop.comp.Signal(completeEagerRecv(rop.buf, rop.ctx, pkt, w))
+			rop.recycle()
 		} else if d.tel.Counting() {
 			d.tc.MatchUnexpected.Add(1)
 		}
@@ -418,21 +391,25 @@ func (d *Device) handleRxPacket(pkt *packet.Packet, src, length int, w *packet.W
 		if d.tel.Counting() {
 			d.tc.RTSRecv.Add(1)
 		}
-		if !d.rdvAdmit(seenKey(src, h)) {
+		seen := seenKey(src, h)
+		if !d.rdvAdmit(seen) {
 			// Retransmitted RTS: already parked, invited (RTR re-sent by
 			// rdvAdmit), or complete. Never re-insert into the engine.
 			w.Put(pkt)
 			return
 		}
+		// The receiver-side record starts here: an unmatched RTS parks
+		// in the engine as this rdvState, which the matching receive
+		// then completes.
+		st := d.rdvStates.get(d)
+		st.src, st.tag, st.size, st.senderToken, st.seen = src, int(h.tag), int(h.size), h.token, seen
 		eng := d.rt.engineByID(h.engine)
 		key := matching.MakeKey(src, int(h.tag), h.policy)
-		arrival := &rtsArrival{src: src, tag: int(h.tag), size: int(h.size), token: h.token, seq: h.rkey, dev: d}
-		if m, ok := eng.Insert(key, matching.Send, arrival); ok {
+		if m, ok := eng.Insert(key, matching.Send, st); ok {
 			if d.tel.Counting() {
 				d.tc.MatchHits.Add(1)
 			}
-			rop := m.(*recvOp)
-			d.startRTR(rop, arrival)
+			d.startRTR(st, m.(*recvOp))
 		} else if d.tel.Counting() {
 			d.tc.MatchUnexpected.Add(1)
 		}
@@ -447,14 +424,15 @@ func (d *Device) handleRxPacket(pkt *packet.Packet, src, length int, w *packet.W
 		if d.tel.Counting() {
 			d.tc.RTSRecv.Add(1)
 		}
-		if !d.rdvAdmit(seenKey(src, h)) {
+		seen := seenKey(src, h)
+		if !d.rdvAdmit(seen) {
 			w.Put(pkt)
 			return
 		}
-		buf, owner := d.rt.allocAM(int(h.size), h.rcomp)
-		d.respondRTR(seenKey(src, h), h.token, &rdvState{
-			isAM: true, rcomp: h.rcomp, buf: buf, alloc: owner, src: src, tag: int(h.tag),
-		})
+		st := d.rdvStates.get(d)
+		st.isAM, st.rcomp, st.src, st.tag, st.senderToken, st.seen = true, h.rcomp, src, int(h.tag), h.token, seen
+		st.buf, st.alloc = d.rt.allocAM(int(h.size), h.rcomp)
+		d.respondRTR(st)
 		w.Put(pkt)
 	case kRTR:
 		// (8, 10) continue the rendezvous protocol: write the payload into
@@ -482,48 +460,62 @@ func completeEagerRecv(buf []byte, ctx any, pkt *packet.Packet, w *packet.Worker
 	}
 }
 
-// startRTR reacts to a matched RTS: register the receive buffer and send
-// the RTR reply. Must run on the device whose endpoint the RTS arrived
-// on — NOT the device the receive was posted to, when those differ: the
-// receiver token and registered memory live in this device's tables, and
-// the RTR names this device (header size field) as the write-imm target,
-// so the payload must land here ("write-imm for unknown recv token"
-// otherwise). The sender side is addressed explicitly: the RTR goes to
-// the device named in the sender token's upper half.
-func (d *Device) startRTR(rop *recvOp, rts *rtsArrival) {
-	size := rts.size
+// startRTR reacts to a matched RTS: take the receive's buffer and
+// completion into the RTS's record, recycle the receive, then register
+// the buffer and send the RTR reply. Must run on the device whose
+// endpoint the RTS arrived on (st's home) — NOT the device the receive
+// was posted to, when those differ: the receiver token and registered
+// memory live in this device's tables, and the RTR names this device
+// (header size field) as the write-imm target, so the payload must land
+// here ("write-imm for unknown recv token" otherwise). The sender side is
+// addressed explicitly: the RTR goes to the device named in the sender
+// token's upper half.
+func (d *Device) startRTR(st *rdvState, rop *recvOp) {
+	size := st.size
 	if size > len(rop.buf) {
 		size = len(rop.buf) // truncated receive, like MPI_ERR_TRUNCATE avoided by convention
 	}
-	key := rdvSeenKey{src: int32(rts.src), sdev: int32(rts.token >> 32), seq: rts.seq}
-	d.respondRTR(key, rts.token, &rdvState{
-		buf: rop.buf[:size], comp: rop.comp, ctx: rop.ctx, src: rts.src, tag: rts.tag,
-	})
+	st.buf, st.comp, st.ctx = rop.buf[:size], rop.comp, rop.ctx
+	rop.recycle()
+	d.respondRTR(st)
 }
 
-// rdvState tracks one receiver-side rendezvous in flight.
+// rdvState tracks one receiver-side rendezvous, from the RTS's arrival
+// (parked in the matching engine while no receive matches it) until the
+// payload lands or the handshake fails. Its home is the device the RTS
+// arrived on.
 type rdvState struct {
-	isAM  bool
-	rcomp base.RComp   // AM: target completion handle
-	comp  base.Comp    // send-recv: posted receive's completion object
-	alloc *AMAllocator // AM: allocator owning buf (nil = receiver owns it)
-	ctx   any
-	buf   []byte
-	rkey  uint64
-	src   int
-	tag   int
+	record
+	isAM        bool
+	rcomp       base.RComp   // AM: target completion handle
+	comp        base.Comp    // send-recv: posted receive's completion object
+	alloc       *AMAllocator // AM: allocator owning buf (nil = receiver owns it)
+	ctx         any
+	buf         []byte
+	rkey        uint64
+	src         int
+	tag         int
+	size        int    // message size the RTS announced
+	senderToken uint64 // the RTS's wire token, echoed by the RTR
+	seen        rdvSeenKey
 
-	// Retransmit state. The stored RTR header is re-sent verbatim on
-	// timeout — same receiver token, same rkey — so a duplicate RTR at the
-	// sender is suppressed by the token generation and a duplicate write
-	// by the receiver token generation; the handshake stays idempotent.
-	// seen names the handshake in the seen-set; its sdev is the sender
-	// device the RTR is addressed to. lastEpoch is atomic because the timeout scanner reads it
-	// concurrently with the arming store; 0 = unarmed.
-	seen      rdvSeenKey
-	hdr       header
-	attempts  int32
-	lastEpoch atomic.Uint64
+	// Retransmit state. The RTR is re-sent verbatim on timeout — same
+	// receiver token, same rkey (rtrHeader rebuilds it) — so a duplicate
+	// RTR at the sender is suppressed by the token generation and a
+	// duplicate write by the receiver token generation; the handshake
+	// stays idempotent.
+	rdvClock
+}
+
+// rtrHeader is the RTR of the receiver-side handshake held under rtoken.
+func (d *Device) rtrHeader(rtoken uint32, senderToken, rkey uint64) header {
+	return header{
+		kind:  kRTR,
+		rcomp: base.RComp(rtoken),
+		size:  uint32(d.Index()),
+		token: senderToken,
+		rkey:  rkey,
+	}
 }
 
 // respondRTR registers st.buf, stores the rendezvous state and sends the
@@ -533,27 +525,21 @@ type rdvState struct {
 // on the backlog queue — this path runs inside the progress engine or a
 // posting call that already matched, so it cannot bounce a retry to the
 // user (§5.1.5); fatal failures error-complete the receive.
-func (d *Device) respondRTR(key rdvSeenKey, senderToken uint64, st *rdvState) {
+func (d *Device) respondRTR(st *rdvState) {
 	st.rkey = d.net.RegisterMem(st.buf)
-	rtoken := d.tokens.alloc(st)
-	hdr := header{
-		kind:  kRTR,
-		rcomp: base.RComp(rtoken),
-		size:  uint32(d.Index()),
-		token: senderToken,
-		rkey:  st.rkey,
-	}
-	st.seen = key
-	st.hdr = hdr
+	src, key, senderToken, rkey := st.src, st.seen, st.senderToken, st.rkey
+	rtoken := d.track(st)
+	// From here the token table owns st: a death sweep or Close may fail
+	// and recycle it at any moment, so only the copies above are used.
+	hdr := d.rtrHeader(rtoken, senderToken, rkey)
 	d.rdvInvited(key, hdr)
-	d.armTimeout(&st.lastEpoch)
 	if d.tel.Counting() {
 		d.tc.RTRSent.Add(1)
 	}
 	if d.tel.Tracing() {
-		d.ring.Add(telemetry.EvRTR, d.Index(), st.src, senderToken)
+		d.ring.Add(telemetry.EvRTR, d.Index(), src, hdr.token)
 	}
-	d.sendControl(control{dst: st.src, rdev: int(key.sdev), hdr: hdr, tok: rtoken, owner: st})
+	d.sendControl(control{dst: src, rdev: int(key.sdev), hdr: hdr, tok: rtoken, owner: st})
 }
 
 // sendControl emits a protocol control message from inside the progress
@@ -588,11 +574,14 @@ func (d *Device) continueRendezvous(src int, h header) {
 		d.ring.Add(telemetry.EvWrite, d.Index(), src, h.token)
 	}
 	write := rma{
-		w: d.worker, rank: src, rdev: int(h.size), rkey: h.rkey, buf: ss.buf,
+		w: d.worker, rank: src, rdev: int(h.size), rkey: h.rkey, buf: ss.op.st.Buffer,
 		imm: encodeRdvImm(uint32(h.rcomp)), hasImm: true,
 	}
-	if ss.comp != nil || ss.t0 != 0 {
-		write.ctx = &sendOp{comp: ss.comp, st: ss.st, t0: ss.t0, rdvAM: ss.isAM}
+	if ss.op.comp != nil || ss.op.t0 != 0 {
+		// The write's completion returns ss (sendOp.recycle).
+		write.ctx = &ss.op
+	} else {
+		ss.recycle() // nothing completes through it: the rma holds the payload
 	}
 	// A transient failure parks (this runs inside the progress engine). A
 	// fatal one (peer died between RTR and write) is reported here: the
@@ -637,9 +626,10 @@ func (d *Device) handleWriteImm(src int, imm uint64, length int) {
 			if st.alloc != nil && st.alloc.Free != nil {
 				st.alloc.Free(st.buf)
 			}
-			return
+		} else {
+			st.comp.Signal(status)
 		}
-		st.comp.Signal(status)
+		st.recycle()
 		return
 	}
 	// Put with signal: notify the registered remote target (completion

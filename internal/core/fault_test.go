@@ -103,6 +103,7 @@ func TestRendezvousRTSDropRetransmit(t *testing.T) {
 	if c := inj.Snapshot(); c.Drops != 1 {
 		t.Fatalf("injector drops = %d, want 1", c.Drops)
 	}
+	checkRecordsBalanced(t, rts...)
 }
 
 // TestRendezvousRTRDropRecovery: the receiver's first RTR is dropped; the
@@ -149,6 +150,7 @@ func TestRendezvousRTRDropRecovery(t *testing.T) {
 	if _, _, dups, _, _ := sumHardening(rts[1]); dups < 1 {
 		t.Fatalf("receiver dup-suppressed = %d, want >= 1", dups)
 	}
+	checkRecordsBalanced(t, rts...)
 }
 
 // TestRendezvousTimeoutAtCap: every RTS from 0 to 1 is dropped, so the
@@ -182,6 +184,7 @@ func TestRendezvousTimeoutAtCap(t *testing.T) {
 	if re != 3 {
 		t.Fatalf("Retransmits = %d, want 3 (the configured cap)", re)
 	}
+	checkRecordsBalanced(t, rts...)
 }
 
 // TestRendezvousTimeoutIsTime: the timeout clock runs on monotonic time,
@@ -236,6 +239,7 @@ func TestRendezvousTimeoutIsTime(t *testing.T) {
 			t.Fatalf("payload corrupt at %d", i)
 		}
 	}
+	checkRecordsBalanced(t, rts...)
 }
 
 // TestKillRankSurfacesPeerDead: killing a rank makes (a) new posts to it
@@ -280,6 +284,12 @@ func TestKillRankSurfacesPeerDead(t *testing.T) {
 	if _, _, _, _, sweeps := sumHardening(rts[0]); sweeps < 1 {
 		t.Fatalf("DeadSweeps = %d, want >= 1", sweeps)
 	}
+	// Withdraw the wildcard receive, which no live rank will match, so
+	// rank 0 can quiesce.
+	if n := rts[0].CancelRecvs(&MatchEngine{eng: rts[0].defME}, ErrClosed); n != 1 {
+		t.Fatalf("CancelRecvs withdrew %d receives, want the 1 wildcard", n)
+	}
+	checkRecordsBalanced(t, rts...)
 }
 
 // TestCloseAbortsInFlight: a rendezvous wedged by a lossy fabric (every
@@ -323,6 +333,7 @@ func TestCloseAbortsInFlight(t *testing.T) {
 	if err := rts[0].Close(); err != nil {
 		t.Fatal(err)
 	}
+	checkRecordsBalanced(t, rts...)
 }
 
 // TestDuplicateRTSDelivery: a duplicating pair rule doubles RTS arrivals;
@@ -359,6 +370,7 @@ func TestDuplicateRTSDelivery(t *testing.T) {
 	if _, _, dups, _, _ := sumHardening(rts[1]); dups < 1 {
 		t.Fatalf("receiver dup-suppressed = %d, want >= 1", dups)
 	}
+	checkRecordsBalanced(t, rts...)
 }
 
 // TestRendezvousSeenKeyNoAlias: the receiver's duplicate-RTS seen-set
@@ -411,4 +423,5 @@ func TestRendezvousSeenKeyNoAlias(t *testing.T) {
 	if err := c1.Err(); err != nil {
 		t.Fatal(err)
 	}
+	checkRecordsBalanced(t, rts...)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"lci/internal/base"
 	"lci/internal/fault"
@@ -24,6 +23,10 @@ import (
 //   - Handshake retransmits are idempotent: the stored RTS/RTR header is
 //     re-sent verbatim, and duplicates are suppressed by token generations
 //     (sender and receiver side) plus the receiver's seen-set.
+//   - Handshake records are recycled (recycle.go), so a token-table entry
+//     copied by a scan may name a record that now serves another
+//     handshake: it is revalidated under the token lock before the
+//     record is read or changed.
 
 // The rendezvous timeout clock. Its epoch advances on a progress round
 // with rendezvous live, but at most once per rdvEpochNs of monotonic
@@ -75,26 +78,56 @@ func (d *Device) advanceRdvClock() {
 	}
 }
 
-// armTimeout starts the timeout clock of a handshake whose token was just
-// allocated, when rendezvous timeouts are configured, and raises
-// attention so the clock ticks for it. The clock starts at 0 but 0 means
-// "unarmed", so arming clamps to 1.
-func (d *Device) armTimeout(lastEpoch *atomic.Uint64) {
+// handshake is a rendezvous record held in the token table: a
+// *sendState or an *rdvState.
+type handshake interface {
+	// clock returns the handshake's retransmit state.
+	clock() *rdvClock
+	// peer is the rank at the other end.
+	peer() int
+	// resend is the control message a timeout re-sends for the handshake
+	// held under tok.
+	resend(d *Device, tok uint32) control
+	// fail error-completes the handshake and recycles its record. The
+	// caller released its token, which makes it the only owner.
+	fail(d *Device, err error)
+}
+
+// rdvClock is a handshake's retransmit state: re-sends so far and the
+// epoch of the last (re)send, 0 = unarmed. It is set before the
+// handshake's token exists and afterwards read and updated only under the
+// token table's lock (tokenTable.hold).
+type rdvClock struct {
+	attempts  int32
+	lastEpoch uint64
+}
+
+func (c *rdvClock) clock() *rdvClock { return c }
+
+// track stores a new handshake in the token table and returns its token.
+// When rendezvous timeouts are configured it first stamps the
+// handshake's clock — before the token exists, so the scanner, which
+// reaches the record only through the token, never sees it unarmed — and
+// after the allocation raises attention so the clock ticks for it (raised
+// before, a tick could drop it again while the table still looks empty).
+// The clock starts at 0 but 0 means "unarmed", so arming clamps to 1.
+func (d *Device) track(h handshake) uint32 {
 	if d.rdvTimeoutEpochs <= 0 {
-		return
+		return d.tokens.alloc(h)
 	}
 	e := d.rdvEpoch.Load()
 	if e == 0 {
 		e = 1
 	}
-	lastEpoch.Store(e)
+	h.clock().lastEpoch = e
+	tok := d.tokens.alloc(h)
 	d.attention.Store(true)
+	return tok
 }
 
 // scanRdvTimeouts walks the live token table and retransmits or fails
 // overdue handshakes. One scanner at a time (try-lock, like the CQ
-// poller); entries are re-validated with releaseIf before any failure
-// fire, so a handshake that completes mid-scan is left alone.
+// poller).
 func (d *Device) scanRdvTimeouts(epoch uint64) {
 	if !d.rdvMu.TryLock() {
 		return
@@ -102,64 +135,44 @@ func (d *Device) scanRdvTimeouts(epoch uint64) {
 	d.rdvScratch = d.tokens.scan(d.rdvScratch[:0])
 	for i := range d.rdvScratch {
 		ref := &d.rdvScratch[i]
-		switch s := ref.v.(type) {
-		case *sendState:
-			d.checkSendTimeout(epoch, ref.tok, s)
-		case *rdvState:
-			d.checkRecvTimeout(epoch, ref.tok, s)
+		if h, ok := ref.v.(handshake); ok {
+			d.checkTimeout(epoch, ref.tok, h)
 		}
 		ref.v = nil // drop the reference for the GC
 	}
 	d.rdvMu.Unlock()
 }
 
-// checkSendTimeout handles one overdue sender-side handshake: re-send the
-// stored RTS (bounded attempts), then fail with ErrTimeout.
-func (d *Device) checkSendTimeout(epoch uint64, tok uint32, ss *sendState) {
-	le := ss.lastEpoch.Load()
-	if le == 0 || epoch-le < uint64(d.rdvTimeoutEpochs) {
+// checkTimeout handles one handshake the scan copied: re-send its stored
+// RTS or RTR verbatim when it is overdue (bounded attempts), then fail it
+// with ErrTimeout. The copy is revalidated under the token lock before
+// the record is read: a handshake that completed since the scan — and
+// whose record may already serve another one — is left alone.
+func (d *Device) checkTimeout(epoch uint64, tok uint32, h handshake) {
+	if !d.tokens.hold(tok, h) {
 		return
 	}
-	if int(ss.attempts) >= d.rdvMaxAttempts {
-		if d.tokens.releaseIf(tok, ss) {
-			if d.tel.Counting() {
-				d.tc.RdvTimeouts.Add(1)
-			}
-			d.failSend(ss.comp, ss.st, ErrTimeout)
+	c := h.clock()
+	if c.lastEpoch == 0 || epoch-c.lastEpoch < uint64(d.rdvTimeoutEpochs) {
+		d.tokens.mu.Unlock()
+		return
+	}
+	if int(c.attempts) >= d.rdvMaxAttempts {
+		d.tokens.drop(tok)
+		if d.tel.Counting() {
+			d.tc.RdvTimeouts.Add(1)
 		}
+		h.fail(d, ErrTimeout)
 		return
 	}
-	ss.attempts++
-	ss.lastEpoch.Store(epoch)
+	c.attempts++
+	c.lastEpoch = epoch
+	msg := h.resend(d, tok)
+	d.tokens.mu.Unlock()
 	if d.tel.Counting() {
 		d.tc.Retransmits.Add(1)
 	}
-	d.sendControl(control{dst: ss.dst, rdev: ss.rdev, hdr: ss.hdr, tok: tok, owner: ss})
-}
-
-// checkRecvTimeout handles one overdue receiver-side handshake: re-send
-// the stored RTR verbatim (same receiver token and rkey — idempotent),
-// then fail the receive with ErrTimeout.
-func (d *Device) checkRecvTimeout(epoch uint64, tok uint32, st *rdvState) {
-	le := st.lastEpoch.Load()
-	if le == 0 || epoch-le < uint64(d.rdvTimeoutEpochs) {
-		return
-	}
-	if int(st.attempts) >= d.rdvMaxAttempts {
-		if d.tokens.releaseIf(tok, st) {
-			if d.tel.Counting() {
-				d.tc.RdvTimeouts.Add(1)
-			}
-			d.failRecv(st, ErrTimeout)
-		}
-		return
-	}
-	st.attempts++
-	st.lastEpoch.Store(epoch)
-	if d.tel.Counting() {
-		d.tc.Retransmits.Add(1)
-	}
-	d.sendControl(control{dst: st.src, rdev: int(st.seen.sdev), hdr: st.hdr, tok: tok, owner: st})
+	d.sendControl(msg)
 }
 
 // failSend error-completes a sender-side operation: its prepared Done
@@ -174,10 +187,29 @@ func (d *Device) failSend(comp base.Comp, st base.Status, err error) {
 	}
 }
 
-// failRecv error-completes a receiver-side rendezvous: release the memory
+func (ss *sendState) peer() int { return ss.op.st.Rank }
+
+func (ss *sendState) resend(d *Device, tok uint32) control {
+	c := control{dst: ss.peer(), rdev: ss.rdev, hdr: ss.hdr, tok: tok, owner: ss}
+	c.hdr.token = rtsToken(d.Index(), tok)
+	return c
+}
+
+func (ss *sendState) fail(d *Device, err error) {
+	d.failSend(ss.op.comp, ss.op.st, err)
+	ss.recycle()
+}
+
+func (st *rdvState) peer() int { return st.src }
+
+func (st *rdvState) resend(d *Device, tok uint32) control {
+	return control{dst: st.src, rdev: int(st.seen.sdev), hdr: d.rtrHeader(tok, st.senderToken, st.rkey), tok: tok, owner: st}
+}
+
+// fail error-completes a receiver-side rendezvous: release the memory
 // registration, tombstone the handshake so late duplicates are absorbed,
 // reclaim AM buffers, and signal the receive's completion object.
-func (d *Device) failRecv(st *rdvState, err error) {
+func (st *rdvState) fail(d *Device, err error) {
 	d.net.DeregisterMem(st.rkey)
 	d.noteSeenDone(st.seen)
 	if d.tel.Counting() && errors.Is(err, network.ErrPeerDead) {
@@ -189,13 +221,12 @@ func (d *Device) failRecv(st *rdvState, err error) {
 		if st.alloc != nil && st.alloc.Free != nil {
 			st.alloc.Free(st.buf)
 		}
-		return
-	}
-	if st.comp != nil {
+	} else if st.comp != nil {
 		st.comp.Signal(base.Status{
 			State: base.Done, Rank: st.src, Tag: st.tag, Ctx: st.ctx,
 		}.WithErr(err))
 	}
+	st.recycle()
 }
 
 // sweepDead reacts to a new injector death generation: error-complete
@@ -226,27 +257,32 @@ func (d *Device) sweepDead(inj *fault.Injector) {
 						State: base.Done, Rank: dr, Ctx: rop.ctx,
 					}.WithErr(network.ErrPeerDead))
 				}
+				rop.recycle()
 			}
 		}
 	}
 	for _, ref := range d.tokens.scan(nil) {
-		switch s := ref.v.(type) {
-		case *sendState:
-			if inj.Dead(s.dst) && d.tokens.releaseIf(ref.tok, s) {
-				if d.tel.Counting() {
-					d.tc.DeadSweeps.Add(1)
-				}
-				d.failSend(s.comp, s.st, network.ErrPeerDead)
-			}
-		case *rdvState:
-			if inj.Dead(s.src) && d.tokens.releaseIf(ref.tok, s) {
-				if d.tel.Counting() {
-					d.tc.DeadSweeps.Add(1)
-				}
-				d.failRecv(s, network.ErrPeerDead)
-			}
+		if h, ok := ref.v.(handshake); ok && d.releaseIfDead(inj, ref.tok, h) {
+			h.fail(d, network.ErrPeerDead)
 		}
 	}
+}
+
+// releaseIfDead releases tok if it still holds h and h's peer — read
+// under the token lock, once h is known to be current — is dead.
+func (d *Device) releaseIfDead(inj *fault.Injector, tok uint32, h handshake) bool {
+	if !d.tokens.hold(tok, h) {
+		return false
+	}
+	if !inj.Dead(h.peer()) {
+		d.tokens.mu.Unlock()
+		return false
+	}
+	d.tokens.drop(tok)
+	if d.tel.Counting() {
+		d.tc.DeadSweeps.Add(1)
+	}
+	return true
 }
 
 // FaultGen exposes the fault domain's death generation: 0 while every
@@ -288,6 +324,7 @@ func (rt *Runtime) CancelRecvs(eng *MatchEngine, reason error) int {
 				State: base.Done, Rank: base.AnySource, Ctx: rop.ctx,
 			}.WithErr(reason))
 		}
+		rop.recycle()
 	}
 	return len(removed)
 }
@@ -298,15 +335,8 @@ func (rt *Runtime) CancelRecvs(eng *MatchEngine, reason error) int {
 // the device can still deregister memory — nothing leaks, nothing wedges.
 func (d *Device) abortInFlight() {
 	for _, ref := range d.tokens.scan(nil) {
-		switch s := ref.v.(type) {
-		case *sendState:
-			if d.tokens.releaseIf(ref.tok, s) {
-				d.failSend(s.comp, s.st, ErrClosed)
-			}
-		case *rdvState:
-			if d.tokens.releaseIf(ref.tok, s) {
-				d.failRecv(s, ErrClosed)
-			}
+		if h, ok := ref.v.(handshake); ok && d.tokens.releaseIf(ref.tok, h) {
+			h.fail(d, ErrClosed)
 		}
 	}
 }
@@ -319,23 +349,20 @@ func (d *Device) abortInFlight() {
 // legitimately recurs.
 func (d *Device) rdvAdmit(key rdvSeenKey) bool {
 	d.seenMu.Lock()
-	e, dup := d.seen[key]
-	if !dup {
-		d.seen[key] = rdvSeenEntry{state: seenParked}
-	}
+	state, hdr := d.seen.admit(key)
 	d.seenMu.Unlock()
-	if !dup {
+	if state == 0 {
 		return true
 	}
 	if d.tel.Counting() {
 		d.tc.DupSuppressed.Add(1)
 	}
-	if e.state == seenInvited {
+	if state == seenInvited {
 		if d.tel.Counting() {
 			d.tc.Retransmits.Add(1)
 		}
 		// No owner: a peer death is reported by the dead-rank sweep.
-		d.sendControl(control{dst: int(key.src), rdev: int(key.sdev), hdr: e.hdr})
+		d.sendControl(control{dst: int(key.src), rdev: int(key.sdev), hdr: hdr})
 	}
 	return false
 }
@@ -344,30 +371,15 @@ func (d *Device) rdvAdmit(key rdvSeenKey) bool {
 // with hdr, so duplicate RTS arrivals can re-send it verbatim.
 func (d *Device) rdvInvited(key rdvSeenKey, hdr header) {
 	d.seenMu.Lock()
-	d.seen[key] = rdvSeenEntry{state: seenInvited, hdr: hdr}
+	d.seen.invite(key, hdr)
 	d.seenMu.Unlock()
 }
 
-// noteSeenDone tombstones a finished handshake. Tombstones live in a
-// bounded FIFO (seenTombstones) so the seen-set cannot grow without
-// bound; a duplicate arriving after eviction would re-enter as parked and
-// wedge only if it could still match — it cannot, because its sender
-// token generation is stale and the write-imm path suppresses it.
+// noteSeenDone tombstones a finished handshake. The seen-set keeps the
+// last seenTombstones of them; a duplicate arriving after its tombstone's
+// eviction would re-enter as parked.
 func (d *Device) noteSeenDone(key rdvSeenKey) {
 	d.seenMu.Lock()
-	if d.seen[key].state != seenDone {
-		d.seen[key] = rdvSeenEntry{state: seenDone}
-		d.doneLog = append(d.doneLog, key)
-		if len(d.doneLog)-d.doneHead > seenTombstones {
-			delete(d.seen, d.doneLog[d.doneHead])
-			d.doneLog[d.doneHead] = rdvSeenKey{}
-			d.doneHead++
-			if d.doneHead >= seenTombstones {
-				n := copy(d.doneLog, d.doneLog[d.doneHead:])
-				d.doneLog = d.doneLog[:n]
-				d.doneHead = 0
-			}
-		}
-	}
+	d.seen.finish(key)
 	d.seenMu.Unlock()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"lci/internal/base"
 	"lci/internal/matching"
@@ -84,55 +83,54 @@ type RemoteBuffer struct {
 // t0 is the post timestamp when latency histograms were live at post time
 // (0 = untimed); rdvAM routes the sample to the AM round-trip histogram
 // (the rendezvous-AM RTS→RTR→write cycle) instead of the post latency.
+// The payload write of a rendezvous send uses the sendOp embedded in its
+// sendState, and ss points back to it: completing the write returns the
+// sendState.
 type sendOp struct {
+	record
 	comp  base.Comp
 	st    base.Status
 	t0    int64
 	rdvAM bool
+	ss    *sendState
+}
+
+// newSendOp takes a sendOp carrying a post's completion, stamped when
+// latency histograms are live.
+func (d *Device) newSendOp(comp base.Comp, st base.Status) *sendOp {
+	op := d.sendOps.get(d)
+	op.comp, op.st = comp, st
+	if d.tel.Timing() {
+		op.t0 = telemetry.Now()
+	}
+	return op
 }
 
 // recvOp is a posted receive parked in the matching engine.
 type recvOp struct {
+	record
 	buf  []byte
 	comp base.Comp
 	ctx  any
 }
 
-// rtsArrival is an unexpected rendezvous announcement parked in the
-// matching engine. dev is the device whose endpoint the RTS arrived on:
-// the RTR reply must travel back through it — the sender's token lives
-// on the device that posted the RTS, and wire addressing pairs endpoint
-// indices — even when the matching receive is later posted on a
-// different pool device.
-type rtsArrival struct {
-	src   int
-	tag   int
-	size  int
-	token uint64
-	seq   uint64 // sender device's RTS sequence (seen-set key)
-	dev   *Device
-}
-
-// sendState is an in-flight rendezvous send awaiting its RTR. t0/isAM
-// ride along so the payload write's sendOp can place its latency sample
-// (see sendOp).
+// sendState is an in-flight rendezvous send awaiting its RTR. Its op
+// holds the completion object, the prepared Done status (Rank is the
+// destination, Buffer the payload) and the latency stamp, and becomes the
+// payload write's completion context.
+//
+// Retransmit state: the RTS header is stored so the timeout scanner can
+// re-send it verbatim — duplicates at the receiver dedup on the RTS
+// sequence it carries. It is stored without its token, which the token
+// table supplies (resend). Every field is written before the token is
+// allocated; afterwards only holders of the token table's lock read or
+// update them (tokenTable.hold).
 type sendState struct {
-	buf  []byte
-	comp base.Comp
-	st   base.Status
-	t0   int64
-	isAM bool
-
-	// Retransmit state: the RTS header is stored so the timeout scanner
-	// can re-send it verbatim — duplicates at the receiver dedup on (src,
-	// token). lastEpoch is atomic because the scanner reads it
-	// concurrently with the arming store (the store also publishes hdr to
-	// the scanner); 0 = unarmed.
-	dst       int
-	rdev      int
-	hdr       header
-	attempts  int32
-	lastEpoch atomic.Uint64
+	record
+	op   sendOp
+	rdev int
+	hdr  header
+	rdvClock
 }
 
 func (o *Options) device(rt *Runtime) *Device {
@@ -305,25 +303,26 @@ func (rt *Runtime) postEager(rank int, buf []byte, hdr header, comp base.Comp, o
 // postRendezvous runs the shared rendezvous announcement for large sends
 // and AMs.
 func (rt *Runtime) postRendezvous(rank int, buf []byte, hdr header, comp base.Comp, opts Options, d *Device) (base.Status, error) {
-	ss := &sendState{buf: buf, comp: comp, st: base.Status{
+	ss := d.sendStates.get(d)
+	ss.op = sendOp{comp: comp, st: base.Status{
 		State: base.Done, Rank: rank, Tag: int(hdr.tag), Buffer: buf, Size: len(buf), Ctx: opts.Ctx,
-	}, isAM: hdr.kind == kRTSAM, dst: rank, rdev: opts.remoteDev(d)}
+	}, rdvAM: hdr.kind == kRTSAM, ss: ss}
 	if d.tel.Timing() {
-		ss.t0 = telemetry.Now()
+		ss.op.t0 = telemetry.Now()
 	}
+	rdev := opts.remoteDev(d)
+	hdr.size = uint32(len(buf))
+	hdr.rkey = d.rtsSeq.Add(1)
+	ss.rdev, ss.hdr = rdev, hdr
 	// The upper half of the wire token names the device the RTS is posted
 	// from: the sender state lives in that device's token table, so the
 	// receiver must address the RTR to it explicitly — endpoint-index
 	// pairing only reaches it when the remote device happens to mirror the
 	// posting device (it doesn't under WithRemoteDevice).
-	token := d.tokens.alloc(ss)
-	hdr.token = uint64(d.Index())<<32 | uint64(token)
-	hdr.size = uint32(len(buf))
-	hdr.rkey = d.rtsSeq.Add(1)
-	ss.hdr = hdr
-	d.armTimeout(&ss.lastEpoch)
+	token := d.track(ss)
+	hdr.token = rtsToken(d.Index(), token)
 
-	st, err := submit(d, control{w: opts.worker(d), dst: rank, rdev: ss.rdev, hdr: hdr, tok: token, owner: ss}, opts.DisallowRetry)
+	st, err := submit(d, control{w: opts.worker(d), dst: rank, rdev: rdev, hdr: hdr, tok: token, owner: ss}, opts.DisallowRetry)
 	if err != nil || st.State == base.Retry {
 		// Neither sent nor parked: give the token back. releaseIf: the
 		// timeout scanner may already own the failure fire; if it does,
@@ -332,6 +331,7 @@ func (rt *Runtime) postRendezvous(rank int, buf []byte, hdr header, comp base.Co
 		if !d.tokens.releaseIf(token, ss) {
 			return base.Status{State: base.Posted}, nil
 		}
+		ss.recycle()
 		return st, err
 	}
 	if st.State == base.Posted {
@@ -393,7 +393,8 @@ func (rt *Runtime) postRecv(rank int, buf []byte, tag int, comp base.Comp, opts 
 	d := opts.device(rt)
 	eng, _ := opts.engine(rt)
 	key := matching.MakeKey(rank, tag, opts.Policy)
-	rop := &recvOp{buf: buf, comp: comp, ctx: opts.Ctx}
+	rop := d.recvOps.get(d)
+	rop.buf, rop.comp, rop.ctx = buf, comp, opts.Ctx
 
 	m, ok := eng.Insert(key, matching.Recv, rop)
 	if !ok {
@@ -409,13 +410,15 @@ func (rt *Runtime) postRecv(rank int, buf []byte, tag int, comp base.Comp, opts 
 	switch arr := m.(type) {
 	case *packet.Packet:
 		// (9) matched an unexpected eager message: complete immediately.
+		rop.recycle()
 		return completeEagerRecv(buf, opts.Ctx, arr, opts.worker(d)), nil
-	case *rtsArrival:
+	case *rdvState:
 		// (10) matched a rendezvous announcement: reply with RTR through
-		// the device the RTS arrived on (the sender's token and the wire
-		// pairing live there, not on this receive's posting device); the
-		// receive completes when the data lands.
-		arr.dev.startRTR(rop, arr)
+		// the device the RTS arrived on, which made the record (the
+		// sender's token and the wire pairing live there, not on this
+		// receive's posting device); the receive completes when the data
+		// lands.
+		arr.home.startRTR(arr, rop)
 		return base.Status{State: base.Posted}, nil
 	default:
 		panic("lci: unexpected match type")
@@ -438,15 +441,11 @@ func (rt *Runtime) postPut(rank int, buf []byte, tag int, comp base.Comp, opts O
 		rkey: opts.Remote.RKey, off: opts.Remote.Offset, buf: buf, imm: imm, hasImm: hasImm,
 	}
 	if comp != nil {
-		op := &sendOp{comp: comp, st: base.Status{
+		r.ctx = d.newSendOp(comp, base.Status{
 			State: base.Done, Rank: rank, Tag: tag, Buffer: buf, Size: len(buf), Ctx: opts.Ctx,
-		}}
-		if d.tel.Timing() {
-			op.t0 = telemetry.Now()
-		}
-		r.ctx = op
+		})
 	}
-	if st, err := submit(d, r, opts.DisallowRetry); err != nil || st.State != base.Done {
+	if st, err := submitRMA(d, r, opts.DisallowRetry); err != nil || st.State != base.Done {
 		return st, err
 	}
 	if d.tel.Counting() {
@@ -472,15 +471,11 @@ func (rt *Runtime) postGet(rank int, buf []byte, comp base.Comp, opts Options) (
 		rkey: opts.Remote.RKey, off: opts.Remote.Offset, buf: into,
 	}
 	if comp != nil {
-		op := &sendOp{comp: comp, st: base.Status{
+		r.ctx = d.newSendOp(comp, base.Status{
 			State: base.Done, Rank: rank, Buffer: into, Size: len(into), Ctx: opts.Ctx,
-		}}
-		if d.tel.Timing() {
-			op.t0 = telemetry.Now()
-		}
-		r.ctx = op
+		})
 	}
-	if st, err := submit(d, r, opts.DisallowRetry); err != nil || st.State != base.Done {
+	if st, err := submitRMA(d, r, opts.DisallowRetry); err != nil || st.State != base.Done {
 		return st, err
 	}
 	if d.tel.Counting() {

@@ -500,6 +500,13 @@ func (rt *Runtime) Close() error {
 	for i, n := 0, rt.devs.Len(); i < n; i++ {
 		rt.devs.Get(i).abortInFlight()
 	}
+	// Take the endpoints down, so no peer writes into a posted packet
+	// again, then hand the packet memory on to the next runtime set up in
+	// this process.
+	for i, n := 0, rt.devs.Len(); i < n; i++ {
+		rt.devs.Get(i).net.Close()
+	}
+	rt.pool.Close()
 	return nil
 }
 

@@ -137,16 +137,24 @@ func (s eagerSend) try(d *Device, parked bool) error {
 	s.hdr.encode(pkt.Data)
 	n := copy(pkt.Data[headerSize:], s.buf)
 	var ctx any
+	var op *sendOp
 	if s.comp != nil && (parked || !s.inject) {
-		ctx = &sendOp{comp: s.comp, st: base.Status{
+		op = d.sendOps.get(d)
+		op.comp, op.t0 = s.comp, s.t0
+		op.st = base.Status{
 			State: base.Done, Rank: s.rank, Tag: int(s.hdr.tag), Buffer: s.buf, Size: n, Ctx: s.ctx,
-		}, t0: s.t0}
+		}
+		ctx = op
 	}
 	d.crossDelay(s.w)
 	err := d.net.PostSend(s.rank, s.rdev, uint32(s.hdr.kind), pkt.Data[:headerSize+n], ctx)
 	// The fabric copies synchronously, so the packet recycles
-	// immediately whether the post succeeded or failed.
+	// immediately whether the post succeeded or failed. A failed post
+	// queues no completion, so its sendOp comes back here too.
 	s.w.Put(pkt)
+	if err != nil && op != nil {
+		op.recycle()
+	}
 	return err
 }
 
@@ -155,17 +163,18 @@ func (s eagerSend) fail(d *Device, err error) {
 }
 
 // control is a header-only protocol message (RTS, RTR, or a retransmit of
-// one). Its failure belongs to the rendezvous that owner tracks under tok
-// (a *sendState or an *rdvState): whoever wins the token's releaseIf owns
-// the error fire. A nil owner drops the failure (the dead-rank sweep
-// reports it).
+// one). Its failure belongs to the rendezvous handshake owner, held under
+// tok: whoever wins the token's releaseIf owns the error fire. A parked
+// control can outlive its rendezvous; the token's generation then fails
+// the compare, so a recycled owner is never touched. A nil owner drops
+// the failure (the dead-rank sweep reports it).
 type control struct {
 	w     *packet.Worker
 	dst   int
 	rdev  int
 	hdr   header
 	tok   uint32
-	owner any
+	owner handshake
 }
 
 func (c control) try(d *Device, _ bool) error {
@@ -181,20 +190,15 @@ func (c control) try(d *Device, _ bool) error {
 }
 
 func (c control) fail(d *Device, err error) {
-	if c.owner == nil || !d.tokens.releaseIf(c.tok, c.owner) {
-		return
-	}
-	switch s := c.owner.(type) {
-	case *sendState:
-		d.failSend(s.comp, s.st, err)
-	case *rdvState:
-		d.failRecv(s, err)
+	if c.owner != nil && d.tokens.releaseIf(c.tok, c.owner) {
+		c.owner.fail(d, err)
 	}
 }
 
 // rma is a one-sided transfer: a write of buf (a put, or a rendezvous
 // payload) with an optional immediate, or a read into buf. ctx is the
-// network completion context, a *sendOp or nil.
+// network completion context, a *sendOp or nil; the rma owns it until the
+// network takes it, and returns it when the transfer fails.
 type rma struct {
 	read   bool
 	w      *packet.Worker
@@ -217,12 +221,25 @@ func (r rma) try(d *Device, _ bool) error {
 }
 
 func (r rma) fail(d *Device, err error) {
-	var comp base.Comp
-	var st base.Status
 	if op, ok := r.ctx.(*sendOp); ok {
-		comp, st = op.comp, op.st
+		d.failSend(op.comp, op.st, err)
+		op.recycle()
+		return
 	}
-	d.failSend(comp, st, err)
+	d.failSend(nil, base.Status{}, err)
+}
+
+// submitRMA is submit for a posted put or get: an rma that was neither
+// sent nor parked returns its completion record before the caller
+// returns the error or the Retry.
+func submitRMA(d *Device, r rma, park bool) (base.Status, error) {
+	st, err := submit(d, r, park)
+	if err != nil || st.State == base.Retry {
+		if op, ok := r.ctx.(*sendOp); ok {
+			op.recycle()
+		}
+	}
+	return st, err
 }
 
 // noteRetry classifies a bounced post into its retry counter.

@@ -198,9 +198,10 @@ func TestBacklogConcurrentDrainManyDevices(t *testing.T) {
 	}
 }
 
-// TestPostAllocs pins what a post that goes out at once allocates, with
-// prebuilt Options: nothing for an inject-size AM, and only the sendOp
-// carrying the completion for an eager send above inject size. The
+// TestPostAllocs pins what a post allocates over its whole cycle — post,
+// progress, delivery and completion — with prebuilt Options: nothing, for
+// an inject-size AM and for an eager send above inject size whose
+// completion rides a recycled sendOp to a receive posted beforehand. The
 // receiver's window and the transmit queue are sized so no post retries.
 func TestPostAllocs(t *testing.T) {
 	fab := fabric.New(fabric.Config{NumRanks: 2})
@@ -214,23 +215,48 @@ func TestPostAllocs(t *testing.T) {
 		defer rt.Close()
 		rts[r] = rt
 	}
-	rc := rts[1].RegisterHandler(func(base.Status) {})
+	fired := &atomicCounter{}
+	rc := rts[1].RegisterHandler(func(base.Status) { fired.n.Add(1) })
 	amOpts := Options{RComp: rc}
 	sendOpts := Options{}
 	small := make([]byte, 8)
 	large := make([]byte, rts[0].Config().InjectSize+1)
-	c := &atomicCounter{}
+	into := make([]byte, len(large))
+	sent, recvd := &atomicCounter{}, &atomicCounter{}
 	check := func(st base.Status, err error) {
 		if err != nil || st.IsRetry() {
 			t.Fatalf("post = %+v, %v; the sizing should leave no retries", st, err)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { check(rts[0].PostAM(1, small, 0, c, amOpts)) }); n != 0 {
-		t.Errorf("8 B PostAM allocates %.1f times per post, want 0", n)
+	progressTo := func(done func() bool) {
+		for i := 0; !done(); i++ {
+			if i == 10_000 {
+				t.Fatal("operation never completed")
+			}
+			rts[0].ProgressAll()
+			rts[1].ProgressAll()
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { check(rts[0].PostSend(1, large, 0, c, sendOpts)) }); n > 1 {
-		t.Errorf("%d B PostSend allocates %.1f times per post, want <= 1 (the sendOp)", len(large), n)
+	amCycle := func() {
+		want := fired.n.Load() + 1
+		check(rts[0].PostAM(1, small, 0, sent, amOpts))
+		progressTo(func() bool { return fired.n.Load() == want })
 	}
+	sendCycle := func() {
+		want := sent.n.Load() + 1
+		check(rts[1].PostRecv(0, into, 0, recvd, Options{}))
+		check(rts[0].PostSend(1, large, 0, sent, sendOpts))
+		progressTo(func() bool { return sent.n.Load() == want && recvd.n.Load() == want })
+	}
+	amCycle() // warm the free lists
+	sendCycle()
+	if n := testing.AllocsPerRun(100, amCycle); n != 0 {
+		t.Errorf("8 B PostAM cycle allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, sendCycle); n != 0 {
+		t.Errorf("%d B PostSend/PostRecv cycle allocates %.1f times, want 0", len(large), n)
+	}
+	checkRecordsBalanced(t, rts...)
 }
 
 // TestParkedOpsFailOnPeerDeath: a post parked on the backlog (DisallowRetry)
@@ -317,6 +343,7 @@ func TestParkedOpsFailOnPeerDeath(t *testing.T) {
 			if got, want := pool.Available(), int(pool.Allocated())-preRecvs; got != want {
 				t.Fatalf("packet pool: %d available, want %d (allocated less the receive window)", got, want)
 			}
+			checkRecordsBalanced(t, w.rts...)
 		})
 	}
 }

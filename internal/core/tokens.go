@@ -21,6 +21,10 @@ const (
 	tokenIndexMask = 1<<tokenIndexBits - 1
 )
 
+func makeToken(gen uint16, idx uint32) uint32 { return uint32(gen)<<tokenIndexBits | idx }
+func tokenIndex(tok uint32) uint32            { return tok & tokenIndexMask }
+func tokenGen(tok uint32) uint16              { return uint16(tok >> tokenIndexBits) }
+
 type tokenSlot struct {
 	v   any
 	gen uint16
@@ -61,7 +65,7 @@ func (t *tokenTable) alloc(v any) uint32 {
 			panic("lci: token table overflow (>65536 concurrent rendezvous on one device)")
 		}
 	}
-	tok := uint32(t.slots[idx].gen)<<tokenIndexBits | idx
+	tok := makeToken(t.slots[idx].gen, idx)
 	t.mu.Unlock()
 	t.nlive.Add(1)
 	return tok
@@ -70,30 +74,31 @@ func (t *tokenTable) alloc(v any) uint32 {
 // get returns the value stored under tok, or nil when the token is stale
 // (generation mismatch) or free.
 func (t *tokenTable) get(tok uint32) any {
-	idx := tok & tokenIndexMask
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if int(idx) >= len(t.slots) || t.slots[idx].gen != uint16(tok>>tokenIndexBits) {
+	if !t.current(tok) {
 		return nil
 	}
-	return t.slots[idx].v
+	return t.slots[tokenIndex(tok)].v
+}
+
+// current reports, under the lock, whether tok carries its slot's
+// current generation.
+func (t *tokenTable) current(tok uint32) bool {
+	idx := tokenIndex(tok)
+	return int(idx) < len(t.slots) && t.slots[idx].gen == tokenGen(tok)
 }
 
 // release frees tok and returns its former value; nil when the token is
 // stale or already free (duplicate-suppression path).
 func (t *tokenTable) release(tok uint32) any {
-	idx := tok & tokenIndexMask
 	t.mu.Lock()
-	if int(idx) >= len(t.slots) || t.slots[idx].gen != uint16(tok>>tokenIndexBits) || t.slots[idx].v == nil {
+	if !t.current(tok) || t.slots[tokenIndex(tok)].v == nil {
 		t.mu.Unlock()
 		return nil
 	}
-	v := t.slots[idx].v
-	t.slots[idx].v = nil
-	t.slots[idx].gen++
-	t.free = append(t.free, idx)
-	t.mu.Unlock()
-	t.nlive.Add(-1)
+	v := t.slots[tokenIndex(tok)].v
+	t.drop(tok)
 	return v
 }
 
@@ -102,31 +107,49 @@ func (t *tokenTable) release(tok uint32) any {
 // completion path; whoever wins this compare owns the error/completion
 // fire.
 func (t *tokenTable) releaseIf(tok uint32, v any) bool {
-	idx := tok & tokenIndexMask
+	if !t.hold(tok, v) {
+		return false
+	}
+	t.drop(tok)
+	return true
+}
+
+// hold locks the table if tok still holds exactly v, reporting whether it
+// did. Holders of a scanned (token, value) copy use it to revalidate:
+// while the lock is held nothing can release tok, so nothing can recycle
+// v, and v's handshake fields may be read and updated. The holder then
+// either frees tok with drop or unlocks t.mu.
+func (t *tokenTable) hold(tok uint32, v any) bool {
 	t.mu.Lock()
-	if int(idx) >= len(t.slots) || t.slots[idx].gen != uint16(tok>>tokenIndexBits) || t.slots[idx].v != v {
+	if !t.current(tok) || t.slots[tokenIndex(tok)].v != v {
 		t.mu.Unlock()
 		return false
 	}
+	return true
+}
+
+// drop frees the held, live tok and unlocks the table.
+func (t *tokenTable) drop(tok uint32) {
+	idx := tokenIndex(tok)
 	t.slots[idx].v = nil
 	t.slots[idx].gen++
 	t.free = append(t.free, idx)
 	t.mu.Unlock()
 	t.nlive.Add(-1)
-	return true
 }
 
 // live counts live tokens without taking the lock (progress fast path).
 func (t *tokenTable) live() int64 { return t.nlive.Load() }
 
 // scan appends every live (token, value) pair to buf and returns it.
-// Callers act on the copies outside the lock and must re-validate with
-// releaseIf before consuming an entry.
+// Callers act on the copies outside the lock: a copy may name a record
+// that has since completed and been recycled into another handshake, so
+// they revalidate with hold or releaseIf before reading or changing it.
 func (t *tokenTable) scan(buf []tokenRef) []tokenRef {
 	t.mu.Lock()
 	for i := range t.slots {
 		if t.slots[i].v != nil {
-			buf = append(buf, tokenRef{uint32(t.slots[i].gen)<<tokenIndexBits | uint32(i), t.slots[i].v})
+			buf = append(buf, tokenRef{makeToken(t.slots[i].gen, uint32(i)), t.slots[i].v})
 		}
 	}
 	t.mu.Unlock()

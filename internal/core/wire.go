@@ -97,6 +97,14 @@ func decodeHeader(buf []byte) header {
 	}
 }
 
+// rtsToken is an RTS's wire token: the index of the posting device, whose
+// token table holds the send, in the upper half and the token in the
+// lower. The RTR echoes it back to that device.
+func rtsToken(dev int, tok uint32) uint64 { return uint64(uint32(dev))<<32 | uint64(tok) }
+
+// rtsTokenDevice is the posting device's index in an RTS wire token.
+func rtsTokenDevice(t uint64) int { return int(t >> 32) }
+
 // Immediate-data encoding for RMA writes: bit 63 distinguishes rendezvous
 // completion tokens from put-with-signal notifications.
 const immRendezvousBit = uint64(1) << 63

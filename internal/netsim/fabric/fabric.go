@@ -129,6 +129,7 @@ type Endpoint struct {
 	ready   mpmc.Deque[Completion]
 	pending mpmc.Deque[pendingMsg]
 	nReady  atomic.Int32 // lock-free emptiness check for pollers
+	closed  bool         // under rxMu; see Close
 	_       spin.Pad
 
 	// statistics (atomic; read by tests and the bench harness)
@@ -405,6 +406,10 @@ func (f *Fabric) Send(dst, dstDev, src int, meta uint32, data []byte) error {
 func (f *Fabric) deliver(dst, dstDev, src int, meta uint32, data []byte) error {
 	e := f.resolve(dst, dstDev)
 	e.rxMu.Lock()
+	if e.closed {
+		e.rxMu.Unlock()
+		return nil
+	}
 	if s, ok := e.slots.PopFront(); ok {
 		copied := copy(s.buf, data)
 		e.ready.PushBack(Completion{Kind: RxSend, Ctx: s.ctx, Src: src, Meta: meta, Len: copied})
@@ -435,6 +440,10 @@ func (f *Fabric) deliver(dst, dstDev, src int, meta uint32, data []byte) error {
 // preserving arrival order.
 func (e *Endpoint) PostRecv(buf []byte, ctx any) {
 	e.rxMu.Lock()
+	if e.closed {
+		e.rxMu.Unlock()
+		return
+	}
 	if p, ok := e.pending.PopFront(); ok {
 		copied := copy(buf, p.data)
 		e.ready.PushBack(Completion{Kind: RxSend, Ctx: ctx, Src: p.src, Meta: p.meta, Len: copied})
@@ -443,6 +452,21 @@ func (e *Endpoint) PostRecv(buf []byte, ctx any) {
 		return
 	}
 	e.slots.PushBack(recvSlot{buf: buf, ctx: ctx})
+	e.rxMu.Unlock()
+}
+
+// Close takes the endpoint down, like destroying its queue pair: the
+// receive slots posted at it and the events waiting there are dropped,
+// and a message or write notification that arrives later is discarded.
+// No buffer posted before Close is written again, so its owner may reuse
+// the memory.
+func (e *Endpoint) Close() {
+	e.rxMu.Lock()
+	e.closed = true
+	e.slots = mpmc.Deque[recvSlot]{}
+	e.ready = mpmc.Deque[Completion]{}
+	e.pending = mpmc.Deque[pendingMsg]{}
+	e.nReady.Store(0)
 	e.rxMu.Unlock()
 }
 
@@ -541,8 +565,10 @@ func (f *Fabric) Write(dst, notifyDev, src int, rkey, offset uint64, data []byte
 	if hasImm {
 		e := f.resolve(dst, notifyDev)
 		e.rxMu.Lock()
-		e.ready.PushBack(Completion{Kind: RxWriteImm, Src: src, Imm: imm, Len: len(data)})
-		e.nReady.Add(1)
+		if !e.closed {
+			e.ready.PushBack(Completion{Kind: RxWriteImm, Src: src, Imm: imm, Len: len(data)})
+			e.nReady.Add(1)
+		}
 		e.rxMu.Unlock()
 	}
 	return nil

@@ -200,3 +200,37 @@ func TestInjectorOnFabric(t *testing.T) {
 		t.Fatalf("read from dead rank: err = %v, want ErrPeerDead", err)
 	}
 }
+
+// TestEndpointCloseDropsDeliveries: once an endpoint is closed, neither a
+// send nor a write notification reaches it — the receive slot posted
+// before Close is never written, nothing becomes ready, and the sender
+// sees the message accepted, as on a peer that tore its queue pair down.
+func TestEndpointCloseDropsDeliveries(t *testing.T) {
+	f, _, e1 := newPair(t)
+	posted := make([]byte, 8)
+	e1.PostRecv(posted, "slot")
+	if err := f.Send(1, 0, 0, 1, []byte("queued")); err != nil {
+		t.Fatal(err)
+	}
+	e1.Close()
+	if n := e1.NReady(); n != 0 {
+		t.Fatalf("%d events ready after Close, want the queued one dropped", n)
+	}
+	copy(posted, "untouch!")
+	e1.PostRecv(make([]byte, 8), "late slot")
+	if err := f.Send(1, 0, 0, 2, []byte("dropped!")); err != nil {
+		t.Fatalf("send to a closed endpoint: %v", err)
+	}
+	region := make([]byte, 8)
+	rkey := f.RegisterMem(1, region)
+	if err := f.Write(1, 0, 0, rkey, 0, []byte("w"), 7, true); err != nil {
+		t.Fatal(err)
+	}
+	var comps [4]fabric.Completion
+	if n := e1.PollReady(comps[:]); n != 0 || e1.NReady() != 0 {
+		t.Fatalf("closed endpoint delivered %d events: %+v", n, comps[:n])
+	}
+	if string(posted) != "untouch!" {
+		t.Fatalf("a buffer posted before Close was written: %q", posted)
+	}
+}

@@ -449,6 +449,10 @@ func (d *Device) PostRecv(buf []byte, ctx any) {
 	d.rx.Unlock()
 }
 
+// Close takes the device's endpoint down (fabric.Endpoint.Close): the
+// receive buffers posted at it are never written again.
+func (d *Device) Close() { d.ep.Close() }
+
 // CQEmpty reports, without locking, whether the completion queue has
 // nothing to deliver — like ibv_poll_cq returning 0 or fi_cq_read
 // returning -FI_EAGAIN, a read of the CQE ring state.

@@ -15,6 +15,7 @@
 package packet
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"lci/internal/mpmc"
@@ -81,7 +82,10 @@ type shard struct {
 	statBounces atomic.Int64
 	statSteals  atomic.Int64
 	statEmpty   atomic.Int64
-	_           spin.Pad
+
+	// slab is the memory every packet of the shard's quota points into.
+	slab []byte
+	_    spin.Pad
 }
 
 // Worker is a per-goroutine (or per-device) handle into the pool.
@@ -130,12 +134,11 @@ func (p *Pool) RegisterWorker() *Worker {
 // running there). Posting paths compare this domain against the posting
 // device's bound domain to charge the simulated cross-domain penalty.
 func (p *Pool) RegisterWorkerIn(dom int) *Worker {
-	s := &shard{}
+	s := &shard{slab: takeSlab(p.packetsPerShard * p.packetSize)}
 	s.dq.Init(p.packetsPerShard)
-	backing := make([]byte, p.packetsPerShard*p.packetSize)
 	for i := 0; i < p.packetsPerShard; i++ {
 		s.dq.PushBack(&Packet{
-			Data: backing[i*p.packetSize : (i+1)*p.packetSize : (i+1)*p.packetSize],
+			Data: s.slab[i*p.packetSize : (i+1)*p.packetSize : (i+1)*p.packetSize],
 			pool: p,
 		})
 	}
@@ -303,4 +306,44 @@ func (p *Pool) Available() int {
 		}
 	}
 	return total
+}
+
+// Slabs of closed pools are kept for the next worker in the process that
+// needs one of the same size: a runtime set up after another one closed
+// reuses that runtime's packet memory instead of zeroing or faulting in
+// fresh pages. A packet's bytes are always written before they are read,
+// so a reused slab needs no clearing. Each size is a sync.Pool, so a slab
+// nobody takes is freed within two garbage collections.
+var slabs sync.Map // slab length → *sync.Pool of *[]byte
+
+func slabsOf(n int) *sync.Pool {
+	sp, _ := slabs.LoadOrStore(n, new(sync.Pool))
+	return sp.(*sync.Pool)
+}
+
+func takeSlab(n int) []byte {
+	if b, ok := slabsOf(n).Get().(*[]byte); ok {
+		return *b
+	}
+	return make([]byte, n)
+}
+
+// Close empties the pool and hands its slabs on for reuse; Get returns nil
+// from then on. The caller guarantees that no packet outside the deques
+// will be touched again: the endpoints the pool's packets were posted to
+// are closed, and nothing gets, puts or reads a packet of the pool any
+// more.
+func (p *Pool) Close() {
+	for i, n := 0, p.shards.Len(); i < n; i++ {
+		s := p.shards.Get(i)
+		s.mu.Lock()
+		s.dq = mpmc.Deque[*Packet]{}
+		s.cached.Store(nil)
+		slab := s.slab
+		s.slab = nil
+		s.mu.Unlock()
+		if slab != nil {
+			slabsOf(len(slab)).Put(&slab)
+		}
+	}
 }

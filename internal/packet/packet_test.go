@@ -112,3 +112,35 @@ func TestConcurrentChurnNoLoss(t *testing.T) {
 		t.Fatalf("Available = %d, want %d (packets lost or duplicated)", got, workers*32)
 	}
 }
+
+// TestCloseRecyclesSlabs: a closed pool hands out nothing more, and a pool
+// created after it reuses its packet memory instead of allocating fresh.
+func TestCloseRecyclesSlabs(t *testing.T) {
+	const size, n = 512, 16
+	reused := false
+	// The slab cache is a sync.Pool, which may drop an entry (the race
+	// detector drops some on purpose), so give reuse a few chances.
+	for attempt := 0; attempt < 8 && !reused; attempt++ {
+		old := packet.NewPool(size, n)
+		w := old.RegisterWorker()
+		pkt := w.Get()
+		first := &pkt.Data[0]
+		w.Put(pkt)
+		old.Close()
+		if got := w.Get(); got != nil {
+			t.Fatal("Get on a closed pool returned a packet")
+		}
+		if a := old.Available(); a != 0 {
+			t.Fatalf("closed pool has %d packets available", a)
+		}
+		fresh := packet.NewPool(size, n).RegisterWorker()
+		for i := 0; i < n; i++ {
+			if p := fresh.Get(); p != nil && &p.Data[0] == first {
+				reused = true
+			}
+		}
+	}
+	if !reused {
+		t.Fatal("no pool created after a Close reused the closed pool's slab")
+	}
+}

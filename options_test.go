@@ -171,3 +171,87 @@ func TestPostsAllocateNothing(t *testing.T) {
 		rt1.Progress()
 	}
 }
+
+// TestTwoSidedAllocatesNothing: a completed send/receive pair allocates
+// nothing once the runtime is warm — inject (8 B), eager (4 KiB) and
+// rendezvous (MaxEager()+1) sends, each with its receive posted before
+// the send and after the send has arrived, driven through Progress with
+// the completions popped from a CQ on each rank.
+func TestTwoSidedAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const runs = 16
+	w := NewWorld(2)
+	defer w.Close()
+	rt0, err := w.NewRuntime(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt1, err := w.NewRuntime(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cq0, cq1 := NewCQ(), NewCQ()
+	// post retries a post the provider refused until it is accepted, and
+	// reports whether it already completed.
+	post := func(p func() (Status, error)) bool {
+		for {
+			st, err := p()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.IsRetry() {
+				return st.State == Done
+			}
+			rt0.Progress()
+			rt1.Progress()
+		}
+	}
+	for _, size := range []int{8, 4 << 10, rt0.MaxEager() + 1} {
+		src, dst := make([]byte, size), make([]byte, size)
+		recv := func() (Status, error) { return rt1.PostRecv(0, dst, 5, cq1) }
+		send := func() (Status, error) { return rt0.PostSend(1, src, 5, cq0) }
+		for _, recvFirst := range []bool{true, false} {
+			pair := func() {
+				pending := 0
+				if recvFirst && !post(recv) {
+					pending++
+				}
+				if !post(send) {
+					pending++
+				}
+				if !recvFirst {
+					// Let the message (or its RTS) arrive unexpected.
+					for i := 0; i < 8; i++ {
+						rt1.Progress()
+					}
+					if !post(recv) {
+						pending++
+					}
+				}
+				for i := 0; pending > 0; i++ {
+					if i == 100_000 {
+						t.Fatalf("%d B pair: %d completions missing", size, pending)
+					}
+					rt0.Progress()
+					rt1.Progress()
+					for _, cq := range []*CQ{cq0, cq1} {
+						if st, ok := cq.Pop(); ok {
+							if st.Failed() {
+								t.Fatalf("%d B pair: %v", size, st.Err())
+							}
+							pending--
+						}
+					}
+				}
+			}
+			for i := 0; i < 4; i++ { // warm up: connections, free lists, seen-set
+				pair()
+			}
+			if allocs := testing.AllocsPerRun(runs, pair); allocs != 0 {
+				t.Errorf("%d B send, receive posted first=%v: %.1f allocations per pair, want 0", size, recvFirst, allocs)
+			}
+		}
+	}
+}
