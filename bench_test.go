@@ -11,7 +11,7 @@
 //	Fig. 7  — BenchmarkFig7KmerCounting         (seconds, strong scaling)
 //	Fig. 8  — BenchmarkFig8OctoTiger            (seconds/step, strong scaling)
 //
-// cmd/lci-bench, cmd/lci-resources, cmd/lci-kmer and cmd/lci-octo run the
+// cmd/lci-bench (Figs. 3-6), cmd/lci-kmer and cmd/lci-octo run the
 // same experiments at larger scales and print the series the paper plots;
 // EXPERIMENTS.md records paper-vs-measured shapes.
 package lci_test

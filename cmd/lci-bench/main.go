@@ -1,13 +1,15 @@
 // lci-bench regenerates the microbenchmark figures of the paper's
 // evaluation (§6.2): Figure 3 (process-based message rate), Figure 4
-// (thread-based message rate, dedicated/shared resources) and Figure 5
-// (thread-based bandwidth), printing one row per series point. It also
-// prints the Table 1 paradigm matrix and the simulated Table 2 platform
+// (thread-based message rate, dedicated/shared resources), Figure 5
+// (thread-based bandwidth) and Figure 6 (individual resource
+// throughput), printing one row per series point. It also prints the
+// Table 1 paradigm matrix and the simulated Table 2 platform
 // configuration.
 //
 // Usage:
 //
 //	lci-bench -fig 4                # one figure
+//	lci-bench -fig 6 -iters 50000 -maxpairs 8   # resource throughput, 1..8 threads
 //	lci-bench -fig all -iters 5000  # everything, slower
 //	lci-bench -mode coll            # graph-driven collective latency + placement
 //	lci-bench -mode am              # handler vs cq-shim AM throughput
@@ -32,10 +34,10 @@ import (
 )
 
 var (
-	figFlag   = flag.String("fig", "", "figure to regenerate: 3, 4, 5, or all")
+	figFlag   = flag.String("fig", "", "figure to regenerate: 3, 4, 5, 6, or all")
 	modeFlag  = flag.String("mode", "", "extra suite to run: coll (graph-driven collective latency + placement), am (handler vs cq-shim AM throughput), agg (coalesced vs naive record throughput + NUMA homing), rankscale (p2p/collective latency at 8..256 ranks + sparse-connectivity stats), or chaos (seeded fault-injection soak, peer-death scenario, fault-free-path cost)")
 	seedFlag  = flag.Uint64("seed", 42, "with -mode chaos: the fault injector seed (a chaos run is reproducible from it)")
-	itersFlag = flag.Int("iters", 2000, "ping-pong iterations per pair")
+	itersFlag = flag.Int("iters", 2000, "ping-pong iterations per pair (-fig 6: operation pairs per thread)")
 	maxPairs  = flag.Int("maxpairs", 16, "largest pair/thread count in sweeps")
 	table1    = flag.Bool("table1", false, "print the Table 1 post_comm paradigm matrix")
 	platforms = flag.Bool("platforms", false, "print the simulated platform configuration (Table 2)")
@@ -119,6 +121,20 @@ func fig5() {
 	}
 }
 
+func fig6() {
+	fmt.Println("== Figure 6: individual resource throughput ==")
+	for _, res := range []string{"packet", "matching", "cq", "cq-fixed"} {
+		for _, threads := range pairSweep() {
+			r, err := bench.ResourceThroughput(res, threads, *itersFlag)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "error:", err)
+				continue
+			}
+			fmt.Println(r)
+		}
+	}
+}
+
 func coll() {
 	fmt.Println("== Collectives: graph-driven latency (barrier / allreduce) ==")
 	iters := *itersFlag
@@ -154,8 +170,8 @@ func am() {
 	iters := *itersFlag
 	for _, plat := range lci.Platforms() {
 		for threads := 1; threads <= *maxPairs; threads *= 2 {
-			for _, path := range []string{"handler", "cqshim"} {
-				r, err := bench.AMRate(plat, threads, iters, path)
+			for _, mode := range []string{"handler", "cqshim"} {
+				r, err := bench.AMRate(plat, threads, iters, mode)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "error:", err)
 					continue
@@ -237,8 +253,8 @@ func chaos() {
 		fmt.Println(res)
 	}
 	fmt.Println("== Chaos: fault-free-path cost (hardening armed, no faults scheduled) ==")
-	for _, hardened := range []bool{false, true} {
-		res, err := bench.ChaosRate(lci.SimExpanse(), threads, *itersFlag, hardened)
+	for _, mode := range []string{"plain", "hardened"} {
+		res, err := bench.AMRate(lci.SimExpanse(), threads, *itersFlag, mode)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			continue
@@ -323,10 +339,13 @@ func main() {
 		fig4()
 	case "5":
 		fig5()
+	case "6":
+		fig6()
 	case "all":
 		fig3()
 		fig4()
 		fig5()
+		fig6()
 	case "":
 		if !*table1 && !*platforms && !*statsFlag && *modeFlag == "" {
 			flag.Usage()

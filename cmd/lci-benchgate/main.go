@@ -1,11 +1,9 @@
 // Command lci-benchgate compares freshly measured BENCH_*.json artifacts
 // against committed baselines and fails (exit 1) when any series point
 // regresses by more than the allowed fraction. CI runs it after the full
-// test pass — which rewrites the artifacts in the working tree — against
-// the baselines saved from the previous commit, turning the tracked
-// BENCH_fig4.json / BENCH_fig6.json / BENCH_devscale.json /
-// BENCH_numa.json / BENCH_coll.json / BENCH_am.json / BENCH_agg.json
-// files into a standing performance-regression gate.
+// test pass, which writes fresh artifacts to $LCI_BENCH_DIR, against the
+// BENCH_*.json baselines committed at the module root, turning them into
+// a standing performance-regression gate.
 //
 // Usage:
 //
@@ -15,9 +13,11 @@
 // compared. Result entries are matched by their identity fields (library,
 // platform, mode, pairs/threads/devices/domains/size, resource name) and
 // compared on their rate metric (RateMps, GBps or Mops — whichever the
-// entry carries). Entries present only in one file are reported but do
-// not fail the gate: benches come and go; regressions on live points must
-// not. The comparison logic lives in internal/benchgate; this is the
+// entry carries). A baseline point missing from a current artifact fails
+// the gate like a regression (a renamed identity field must not switch a
+// gate off); points only the current artifact has are new and pass, and
+// a missing current file is skipped (its producing test did not run).
+// The comparison logic lives in internal/benchgate; this is the
 // flag-parsing shell.
 package main
 

@@ -625,7 +625,10 @@ func (ag *Aggregator) sum() (s telemetry.AggSnap, dropped int64) {
 // Sink documents the retention rules).
 func (ag *Aggregator) scatter(st base.Status) {
 	p := st.Buffer
-	for len(p) >= frameOverhead {
+	for len(p) > 0 {
+		if len(p) < frameOverhead {
+			panic("agg: corrupt batch frame")
+		}
 		n := int(binary.LittleEndian.Uint16(p))
 		p = p[frameOverhead:]
 		if n > len(p) {
@@ -646,9 +649,15 @@ func AppendFrame(dst, rec []byte) []byte {
 }
 
 // WalkFrames scatters a framed batch payload into per-record calls —
-// the receive-side counterpart of AppendFrame.
+// the receive-side counterpart of AppendFrame. A payload that is not a
+// sequence of whole frames (a frame overrunning the payload, or a
+// partial length prefix after the last frame) panics with "agg: corrupt
+// batch frame"; the frames before the corruption have been delivered.
 func WalkFrames(p []byte, fn func(rec []byte)) {
-	for len(p) >= frameOverhead {
+	for len(p) > 0 {
+		if len(p) < frameOverhead {
+			panic("agg: corrupt batch frame")
+		}
 		n := int(binary.LittleEndian.Uint16(p))
 		p = p[frameOverhead:]
 		if n > len(p) {

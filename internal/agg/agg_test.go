@@ -18,7 +18,7 @@ import (
 
 // newRuntimes builds n in-process ranks over one fabric, the core_test
 // idiom. Small pools keep the tests honest about resource recycling.
-func newRuntimes(t *testing.T, n int, be nic.Config, cfg core.Config) []*core.Runtime {
+func newRuntimes(t testing.TB, n int, be nic.Config, cfg core.Config) []*core.Runtime {
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: n, Topo: cfg.Topology})
 	rts := make([]*core.Runtime, n)

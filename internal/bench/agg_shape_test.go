@@ -29,36 +29,38 @@ func TestAggShape(t *testing.T) {
 	// the modeled per-record costs to dominate scheduler noise; naive pays
 	// the full per-message NIC cost and is slow but stable at low volume.
 	const itersAgg, itersNaive = 50000, 4000
-	run := func(mode string, iters int) bench.AggResult {
-		// Best-of-3: on small (even single-core) CI machines the wall
-		// clock of one run is dominated by which spinning goroutine holds
-		// the core, not by the path under test; the best run is the one
-		// with the least scheduler interference.
-		var best bench.AggResult
-		for rep := 0; rep < 3; rep++ {
-			r, err := bench.AggRate(lci.SimExpanse(), threads, iters, mode)
-			if err != nil {
-				t.Fatal(err)
+	// Best-of-3: on small (even single-core) CI machines the wall clock
+	// of one run is dominated by which spinning goroutine holds the core,
+	// not by the path under test; the best run is the one with the least
+	// scheduler interference.
+	mode := func(mode string, iters int) func() bench.AggResult {
+		return func() bench.AggResult {
+			var best bench.AggResult
+			for rep := 0; rep < 3; rep++ {
+				r, err := bench.AggRate(lci.SimExpanse(), threads, iters, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.RateMps > best.RateMps {
+					best = r
+				}
 			}
-			if r.RateMps > best.RateMps {
-				best = r
-			}
-		}
-		t.Logf("%v", best)
-		return best
-	}
-	var agg, naive, local, cross bench.AggResult
-	// Scheduler noise occasionally craters a whole measurement round;
-	// re-measure once before declaring a regression.
-	for attempt := 0; attempt < 2; attempt++ {
-		agg, naive = run("agg", itersAgg), run("naive", itersNaive)
-		local, cross = run("local", itersAgg), run("cross", itersAgg)
-		if agg.RateMps >= 3*naive.RateMps && local.RateMps >= 1.2*cross.RateMps {
-			break
+			t.Logf("%v", best)
+			return best
 		}
 	}
+	// Each attempt measures both pairs, alternating which side of each
+	// goes first.
+	res := remeasure(2, func(attempt int) [4]bench.AggResult {
+		coalesce := paired(attempt, mode("agg", itersAgg), mode("naive", itersNaive))
+		homing := paired(attempt, mode("local", itersAgg), mode("cross", itersAgg))
+		return [4]bench.AggResult{coalesce[0], coalesce[1], homing[0], homing[1]}
+	}, func(r [4]bench.AggResult) bool {
+		return r[0].RateMps >= 3*r[1].RateMps && r[2].RateMps >= 1.2*r[3].RateMps
+	})
+	agg, naive, local, cross := res[0], res[1], res[2], res[3]
 	meta := bench.Meta{Threads: threads, Platform: lci.SimExpanse().Name}
-	if err := bench.WriteJSON("agg", meta, []bench.AggResult{agg, naive, local, cross}); err != nil {
+	if err := bench.WriteJSON("agg", meta, res[:]); err != nil {
 		t.Logf("bench artifact not written: %v", err)
 	}
 	if agg.RateMps < 3*naive.RateMps {

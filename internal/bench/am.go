@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,10 +12,12 @@ import (
 	"lci/internal/core"
 )
 
-// AMResult is one point of the small-AM throughput comparison between the
-// first-class handler path and the completion-queue shim it replaced.
+// AMResult is one point of the small-AM round-trip comparisons: the
+// handler path against the completion-queue shim it replaced
+// (BENCH_am.json), telemetry on against off (BENCH_obs.json) and the
+// failure domain idle against armed (BENCH_chaos.json).
 type AMResult struct {
-	Path     string  // handler / cqshim
+	Mode     string  // see AMRate
 	Platform string  // SimExpanse / SimDelta
 	Threads  int     // threads per rank (= device-pool size)
 	Msgs     int64   // round trips counted
@@ -23,36 +26,163 @@ type AMResult struct {
 }
 
 func (r AMResult) String() string {
-	return fmt.Sprintf("%-8s %-11s threads=%-3d rate=%8.3f Mrt/s",
-		r.Path, r.Platform, r.Threads, r.RateMps)
+	return fmt.Sprintf("am %-8s %-11s threads=%-3d rate=%8.3f Mrt/s",
+		r.Mode, r.Platform, r.Threads, r.RateMps)
 }
 
 // AMRate measures small-AM ping-pong throughput: two ranks, threads
 // goroutines per rank on a threads-sized device pool, 8-byte payloads,
 // thread t on its own device with tag t pairing the traffic.
 //
-// path selects the receive-side serving discipline:
+// mode selects the receive-side serving discipline and the runtime:
 //
 //   - "handler": the first-class route. One registered remote handler per
 //     rank; the responder's handler posts the reply from inside the
 //     poller with prebuilt options and the backlog (no-retry) discipline,
 //     so responder threads are pure progress loops and a round trip is
-//     served without touching a completion queue.
+//     served without touching a completion queue. "enabled" (telemetry
+//     on, against "disabled") and "plain" (failure domain idle, against
+//     "hardened") are the same run under the name of the comparison it
+//     anchors. With telemetry on, the run fails if rank 0's snapshot
+//     counted no handler fires: an all-zero snapshot would mean the
+//     counters fell off the hot path whose overhead is being measured.
 //   - "cqshim": the dispatch loop the old internal/rpc transport ran
 //     before it collapsed onto handler completions. AMs land in one
 //     shared completion queue per rank; every thread's serve step is
-//     progress + pop + callback dispatch, and replies are posted from
+//     progress + pop + dispatch, and replies are posted from
 //     thread context with PostAM and per-call variadic options
 //     (WithTag, WithDevice) — the per-message costs (status boxing,
-//     shared MPMC traffic, payload copy, option allocation) the handler
+//     shared MPMC traffic, payload copy, option building) the handler
 //     path deletes. A reply lands on the device of whichever responder
 //     thread popped the ping, so it can reach any initiator device.
-func AMRate(platform lci.Platform, threads, iters int, path string) (AMResult, error) {
-	if path != "handler" && path != "cqshim" {
-		return AMResult{}, fmt.Errorf("bench: unknown AM path %q", path)
+//   - "disabled": the handler path with telemetry fully off.
+//   - "hardened": the handler path with the failure domain armed — an
+//     installed, ruleless fault injector plus rendezvous timeouts (128
+//     epochs × 24 attempts, the chaos soak's budget) — but no faults.
+func AMRate(platform lci.Platform, threads, iters int, mode string) (AMResult, error) {
+	cfg := core.Config{NumDevices: threads}
+	var opts []lci.WorldOption
+	after := func(rt *lci.Runtime) error {
+		s := rt.Telemetry().Snapshot()
+		if s.Empty() {
+			return fmt.Errorf("bench: telemetry enabled but snapshot empty after %d round trips",
+				int64(threads)*int64(iters))
+		}
+		if s.Total().AMFires == 0 {
+			return fmt.Errorf("bench: telemetry enabled but no AM fires counted")
+		}
+		return nil
 	}
-	w := lci.NewWorld(2, lci.WithPlatform(platform),
-		lci.WithRuntimeConfig(core.Config{NumDevices: threads}))
+	switch mode {
+	case "handler", "enabled", "plain":
+	case "cqshim":
+		after = nil
+	case "disabled":
+		opts = append(opts, lci.WithTelemetry(lci.TelemetryConfig{Disable: true}))
+		after = nil
+	case "hardened":
+		cfg.RendezvousTimeoutEpochs, cfg.RendezvousMaxAttempts = 128, 24
+		opts = append(opts, lci.WithFaultInjector(lci.NewFaultInjector(1, 2)))
+	default:
+		return AMResult{}, fmt.Errorf("bench: unknown AM mode %q", mode)
+	}
+	opts = append(opts, lci.WithRuntimeConfig(cfg))
+	return amPingPong(platform, threads, iters, mode, opts, nil, after)
+}
+
+// TelemetryReport runs a short mixed workload (one rendezvous-sized
+// transfer each way per thread pair, then the handler-path small-AM
+// ping-pong) and returns rank 0's rendered telemetry snapshot — the text
+// behind `lci-bench -stats`. With trace set the lifecycle trace ring
+// records the run and the dump's tail is appended to the report
+// (`lci-bench -trace`).
+func TelemetryReport(platform lci.Platform, threads, iters int, trace bool) (string, error) {
+	opts := []lci.WorldOption{
+		lci.WithRuntimeConfig(core.Config{NumDevices: threads}),
+		lci.WithTelemetry(lci.TelemetryConfig{Trace: trace}),
+	}
+	// Both ranks send one transfer past the eager limit to the peer on
+	// every device and receive the peer's, so rank 0's snapshot shows
+	// both rendezvous sides (RTS, RTR, write) alongside the eager path.
+	rdv := func(rt *lci.Runtime) error {
+		size := rt.MaxEager() + 1
+		big, in := make([]byte, size), make([]byte, threads*size)
+		cq := lci.NewCQ()
+		for t := 0; t < threads; t++ {
+			dev := lci.WithDevice(rt.Device(t))
+			if _, err := rt.PostRecv(1-rt.Rank(), in[t*size:(t+1)*size], t, cq, dev); err != nil {
+				return err
+			}
+			if err := retry(func() { rt.Device(t).Progress() }, func() (lci.Status, error) {
+				return rt.PostSend(1-rt.Rank(), big, t, cq, dev)
+			}); err != nil {
+				return err
+			}
+		}
+		for n := 0; n < 2*threads; {
+			if _, ok := cq.Pop(); ok {
+				n++
+				continue
+			}
+			rt.Progress()
+		}
+		return nil
+	}
+	var b strings.Builder
+	render := func(rt *lci.Runtime) error {
+		fmt.Fprintf(&b, "telemetry snapshot, rank 0 (%s, %d threads, %d round trips/thread):\n\n",
+			platform.Name, threads, iters)
+		b.WriteString(rt.Telemetry().Snapshot().String())
+		if trace {
+			ev := rt.Telemetry().Trace().Dump()
+			from := max(len(ev)-32, 0)
+			fmt.Fprintf(&b, "\ntrace ring: %d events, last %d:\n", len(ev), len(ev)-from)
+			for _, e := range ev[from:] {
+				fmt.Fprintf(&b, "  %s\n", e)
+			}
+		}
+		return nil
+	}
+	if _, err := amPingPong(platform, threads, iters, "handler", opts, rdv, render); err != nil {
+		return "", err
+	}
+	return b.String(), nil
+}
+
+// retry repeats post until it is not refused with Retry, calling progress
+// in between.
+func retry(progress func(), post func() (lci.Status, error)) error {
+	for {
+		st, err := post()
+		if err != nil || !st.IsRetry() {
+			return err
+		}
+		progress()
+	}
+}
+
+// spinUntil progresses until cond holds, yielding every 64 misses for
+// fairness when goroutines outnumber cores.
+func spinUntil(progress func(), cond func() bool) {
+	for miss := 0; !cond(); miss++ {
+		progress()
+		if miss&63 == 63 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// amPingPong is the one small-AM ping-pong body behind AMRate and
+// TelemetryReport: a two-rank world built from opts on platform, the
+// mode's serving discipline ("cqshim" or the handler path for any other
+// mode), and threads pairs of iters 8-byte round trips, timed on rank 0.
+// before, if set, runs on every rank after the handlers are registered
+// and before the timed phase; after, if set, runs on rank 0 once the
+// timed phase is over. The round trips are counted as they complete,
+// not assumed.
+func amPingPong(platform lci.Platform, threads, iters int, mode string, opts []lci.WorldOption,
+	before, after func(rt *lci.Runtime) error) (AMResult, error) {
+	w := lci.NewWorld(2, append([]lci.WorldOption{lci.WithPlatform(platform)}, opts...)...)
 	defer w.Close()
 
 	// pongs[t] counts completed round trips for pair t on the initiating
@@ -76,11 +206,14 @@ func AMRate(platform lci.Platform, threads, iters int, path string) (AMResult, e
 		// handle addresses the peer's target of the same shape.
 		var rc lci.RComp
 		var cq *lci.CQ
-		var sink func(src, tag int)
 		switch {
-		case path == "handler" && rt.Rank() == 0:
+		case mode == "cqshim":
+			// One shared queue per rank, registered as the remote target.
+			cq = lci.NewCQ()
+			rc = rt.RegisterRComp(cq)
+		case rt.Rank() == 0:
 			rc = rt.RegisterHandler(func(st lci.Status) { pongs[st.Tag].Add(1) })
-		case path == "handler":
+		default:
 			// Responder: reply from poller context. Options are prebuilt
 			// per pair — the handler's own cost is the table lookup, one
 			// call, and a backlog-disciplined post.
@@ -95,18 +228,14 @@ func AMRate(platform lci.Platform, threads, iters int, path string) (AMResult, e
 					Device: rt.Device(t), RComp: rc, DisallowRetry: true,
 				}
 			}
-		default:
-			// cqshim: one shared queue per rank, registered as the remote
-			// target; serving goes through a callback pointer like the old
-			// transport's sink.
-			cq = lci.NewCQ()
-			rc = rt.RegisterRComp(cq)
-			if rt.Rank() == 0 {
-				sink = func(src, tag int) { pongs[tag].Add(1) }
-			}
 		}
 		if err := rt.Barrier(); err != nil {
 			return err
+		}
+		if before != nil {
+			if err := before(rt); err != nil {
+				return err
+			}
 		}
 
 		var wg sync.WaitGroup
@@ -117,77 +246,52 @@ func AMRate(platform lci.Platform, threads, iters int, path string) (AMResult, e
 				dev := rt.Device(t)
 				serve := func() {
 					dev.Progress()
-					if cq == nil {
-						return
-					}
-					for {
+					for cq != nil {
 						st, ok := cq.Pop()
 						if !ok {
 							return
 						}
 						if rt.Rank() == 0 {
-							sink(st.Rank, st.Tag)
+							pongs[st.Tag].Add(1)
 							continue
 						}
 						// Reply from thread context, the way the shim's
 						// Serve loop did.
-						for {
-							rst, err := rt.PostAM(st.Rank, pong, rc,
-								lci.WithTag(st.Tag), lci.WithDevice(dev))
-							if err != nil {
-								panic(err)
-							}
-							if !rst.IsRetry() {
-								break
-							}
-							dev.Progress()
+						if err := retry(func() { dev.Progress() }, func() (lci.Status, error) {
+							return rt.PostAM(st.Rank, pong, rc, lci.WithTag(st.Tag), lci.WithDevice(dev))
+						}); err != nil {
+							panic(err)
 						}
 					}
 				}
-				if rt.Rank() == 0 {
-					for i := int64(0); i < int64(iters); i++ {
-						for {
-							st, err := rt.PostAM(peer, ping, rc,
-								lci.WithTag(t), lci.WithDevice(dev))
-							if err != nil {
-								panic(err)
-							}
-							if !st.IsRetry() {
-								break
-							}
-							serve()
-						}
-						for miss := 0; pongs[t].Load() <= i; miss++ {
-							serve()
-							if miss&63 == 63 {
-								runtime.Gosched() // oversubscription fairness
-							}
-						}
-					}
-					finished.Add(1)
-					for miss := 0; cq != nil && finished.Load() < int32(threads); miss++ {
-						serve()
-						if miss&63 == 63 {
-							runtime.Gosched()
-						}
-					}
+				if rt.Rank() != 0 {
+					spinUntil(serve, done.Load)
 					return
 				}
-				for miss := 0; !done.Load(); miss++ {
-					serve()
-					if miss&63 == 63 {
-						runtime.Gosched()
+				for i := int64(0); i < int64(iters); i++ {
+					if err := retry(serve, func() (lci.Status, error) {
+						return rt.PostAM(peer, ping, rc, lci.WithTag(t), lci.WithDevice(dev))
+					}); err != nil {
+						panic(err)
 					}
+					spinUntil(serve, func() bool { return pongs[t].Load() > i })
+				}
+				finished.Add(1)
+				if cq != nil {
+					spinUntil(serve, func() bool { return finished.Load() == int32(threads) })
 				}
 			}(t)
 		}
-		if rt.Rank() == 0 {
-			t0 := time.Now()
+		if rt.Rank() != 0 {
 			wg.Wait()
-			elapsed = time.Since(t0)
-			done.Store(true)
-		} else {
-			wg.Wait()
+			return nil
+		}
+		t0 := time.Now()
+		wg.Wait()
+		elapsed = time.Since(t0)
+		done.Store(true)
+		if after != nil {
+			return after(rt)
 		}
 		return nil
 	})
@@ -195,9 +299,12 @@ func AMRate(platform lci.Platform, threads, iters int, path string) (AMResult, e
 		return AMResult{}, err
 	}
 
-	msgs := int64(threads) * int64(iters)
+	var msgs int64
+	for t := range pongs {
+		msgs += pongs[t].Load()
+	}
 	return AMResult{
-		Path: path, Platform: platform.Name, Threads: threads,
+		Mode: mode, Platform: platform.Name, Threads: threads,
 		Msgs: msgs, Seconds: elapsed.Seconds(),
 		RateMps: float64(msgs) / elapsed.Seconds() / 1e6,
 	}, nil

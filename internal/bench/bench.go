@@ -1,8 +1,8 @@
 // Package bench implements the paper's evaluation harness (§6): the
 // message-rate and bandwidth microbenchmarks over LCW (Figures 3–5) and
 // the individual-resource throughput microbenchmark (Figure 6). The
-// testing.B benches at the repository root and the cmd/lci-bench and
-// cmd/lci-resources executables are thin wrappers around this package.
+// testing.B benches at the repository root and the cmd/lci-bench
+// executable are thin wrappers around this package.
 package bench
 
 import (

@@ -23,27 +23,17 @@ func TestFig4Shape(t *testing.T) {
 		t.Skip("race detector skews performance ratios")
 	}
 	const threads, iters = 8, 12000
-	var lciRes, mpiRes bench.RateResult
-	// Scheduler noise on small CI machines occasionally craters one
-	// measurement; re-measure once before declaring a regression.
-	for attempt := 0; attempt < 2; attempt++ {
-		var err error
-		lciRes, err = bench.MessageRateThread(lcw.LCI, lci.SimExpanse(), threads, iters, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mpiRes, err = bench.MessageRateThread(lcw.MPI, lci.SimExpanse(), threads, iters, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("lci dedicated: %v", lciRes)
-		t.Logf("mpi shared:    %v", mpiRes)
-		if lciRes.RateMps >= 2*mpiRes.RateMps {
-			break
+	rate := func(kind lcw.Kind, dedicated bool) func() bench.RateResult {
+		return func() bench.RateResult {
+			return logged[bench.RateResult](t)(bench.MessageRateThread(kind, lci.SimExpanse(), threads, iters, dedicated))
 		}
 	}
+	res := remeasure(2, func(attempt int) [2]bench.RateResult {
+		return paired(attempt, rate(lcw.LCI, true), rate(lcw.MPI, false))
+	}, func(r [2]bench.RateResult) bool { return r[0].RateMps >= 2*r[1].RateMps })
+	lciRes, mpiRes := res[0], res[1]
 	meta := bench.Meta{Threads: threads, Platform: lci.SimExpanse().Name}
-	if err := bench.WriteJSON("fig4", meta, []bench.RateResult{lciRes, mpiRes}); err != nil {
+	if err := bench.WriteJSON("fig4", meta, res[:]); err != nil {
 		t.Logf("bench artifact not written: %v", err)
 	}
 	if lciRes.RateMps < 2*mpiRes.RateMps {
@@ -78,23 +68,13 @@ func TestDevScaleShape(t *testing.T) {
 		}
 		return rs[len(rs)-1].RateMps >= 1.5*rs[0].RateMps
 	}
-	var results []bench.RateResult
-	// Scheduler noise on small CI machines occasionally craters one
-	// measurement; re-measure once before declaring a regression.
-	for attempt := 0; attempt < 2; attempt++ {
-		results = results[:0]
+	results := remeasure(2, func(int) []bench.RateResult {
+		var rs []bench.RateResult
 		for _, d := range devices {
-			res, err := bench.MessageRateDevices(lci.SimExpanse(), threads, d, iters)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%v", res)
-			results = append(results, res)
+			rs = append(rs, logged[bench.RateResult](t)(bench.MessageRateDevices(lci.SimExpanse(), threads, d, iters)))
 		}
-		if gateOK(results) {
-			break
-		}
-	}
+		return rs
+	}, gateOK)
 	meta := bench.Meta{Threads: threads, Platform: lci.SimExpanse().Name}
 	if err := bench.WriteJSON("devscale", meta, results); err != nil {
 		t.Logf("bench artifact not written: %v", err)
@@ -132,27 +112,17 @@ func TestNumaPlacementShape(t *testing.T) {
 	}
 	const threads, devices, iters = 8, 4, 8000
 	tp := topo.Uniform(2, threads/2) // 2 domains, cores 0-3 / 4-7
-	var local, worstRes bench.RateResult
-	// Scheduler noise on small CI machines occasionally craters one
-	// measurement; re-measure once before declaring a regression.
-	for attempt := 0; attempt < 2; attempt++ {
-		var err error
-		local, err = bench.MessageRateLocality(lci.SimExpanse(), tp, threads, devices, iters, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		worstRes, err = bench.MessageRateLocality(lci.SimExpanse(), tp, threads, devices, iters, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("local placement: %v", local)
-		t.Logf("worst placement: %v", worstRes)
-		if local.RateMps >= 1.3*worstRes.RateMps {
-			break
+	place := func(worst bool) func() bench.RateResult {
+		return func() bench.RateResult {
+			return logged[bench.RateResult](t)(bench.MessageRateLocality(lci.SimExpanse(), tp, threads, devices, iters, worst))
 		}
 	}
+	res := remeasure(2, func(attempt int) [2]bench.RateResult {
+		return paired(attempt, place(false), place(true))
+	}, func(r [2]bench.RateResult) bool { return r[0].RateMps >= 1.3*r[1].RateMps })
+	local, worstRes := res[0], res[1]
 	meta := bench.Meta{Threads: threads, Devices: devices, Domains: tp.Domains(), Platform: lci.SimExpanse().Name}
-	if err := bench.WriteJSON("numa", meta, []bench.RateResult{local, worstRes}); err != nil {
+	if err := bench.WriteJSON("numa", meta, res[:]); err != nil {
 		t.Logf("bench artifact not written: %v", err)
 	}
 	if local.RateMps < 1.3*worstRes.RateMps {
@@ -206,25 +176,15 @@ func TestCollShape(t *testing.T) {
 	}
 	const ranks, devices, iters = 8, 2, 2000
 	tp := topo.Uniform(2, 4)
-	var local, worstRes bench.CollResult
-	// Scheduler noise on small CI machines occasionally craters one
-	// measurement; re-measure once before declaring a regression.
-	for attempt := 0; attempt < 2; attempt++ {
-		var err error
-		local, err = bench.CollectiveLocality(lci.SimExpanse(), tp, ranks, devices, iters, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		worstRes, err = bench.CollectiveLocality(lci.SimExpanse(), tp, ranks, devices, iters, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("local placement: %v", local)
-		t.Logf("worst placement: %v", worstRes)
-		if local.Mops >= 1.3*worstRes.Mops {
-			break
+	place := func(worst bool) func() bench.CollResult {
+		return func() bench.CollResult {
+			return logged[bench.CollResult](t)(bench.CollectiveLocality(lci.SimExpanse(), tp, ranks, devices, iters, worst))
 		}
 	}
+	res := remeasure(2, func(attempt int) [2]bench.CollResult {
+		return paired(attempt, place(false), place(true))
+	}, func(r [2]bench.CollResult) bool { return r[0].Mops >= 1.3*r[1].Mops })
+	local, worstRes := res[0], res[1]
 	lat, err := bench.CollectiveLatency(lci.SimExpanse(), ranks, iters)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +72,10 @@ const chaosRdvEvery = 8
 // and checks packet-pool balance (packets held at quiesce == packets
 // held right after bootstrap — any error path that leaks a packet shows
 // up here). Delivery is exact: a drop schedule confined to RTS/RTR plus
-// the bounded-retransmit layer must lose nothing.
+// the bounded-retransmit layer must lose nothing. The soak keeps its own
+// loop rather than AMRate's body: its rendezvous transfers interleave
+// with the timed AM phase, and both ranks return errors to the
+// collective phase instead of panicking.
 func ChaosSoak(platform lci.Platform, seed uint64, threads, iters int) (ChaosResult, error) {
 	inj := lci.NewFaultInjector(seed, 2)
 	mask := lci.FaultKindBit(lci.KindRTS) | lci.FaultKindBit(lci.KindRTR)
@@ -146,47 +148,27 @@ func ChaosSoak(platform lci.Platform, seed uint64, threads, iters int) (ChaosRes
 			go func(t int) {
 				defer wg.Done()
 				dev := rt.Device(t)
+				progress := func() { dev.Progress() }
 				if rt.Rank() == 0 {
 					big := make([]byte, rdvSize(rt, t))
 					for i := int64(0); i < int64(iters); i++ {
-						for {
-							st, err := rt.PostAM(peer, ping, rc,
-								lci.WithTag(t), lci.WithDevice(dev))
-							if err != nil {
-								errs[t] = err
-								return
-							}
-							if !st.IsRetry() {
-								break
-							}
-							dev.Progress()
+						if err := retry(progress, func() (lci.Status, error) {
+							return rt.PostAM(peer, ping, rc, lci.WithTag(t), lci.WithDevice(dev))
+						}); err != nil {
+							errs[t] = err
+							return
 						}
-						for miss := 0; pongs[t].Load() <= i; miss++ {
-							dev.Progress()
-							if miss&63 == 63 {
-								runtime.Gosched()
-							}
-						}
+						spinUntil(progress, func() bool { return pongs[t].Load() > i })
 						if j := int(i+1)/chaosRdvEvery - 1; (i+1)%chaosRdvEvery == 0 && j < nrdv {
 							rdvFill(big, t, j)
 							sc := lci.NewCounter()
-							for {
-								st, err := rt.PostSend(peer, big, t, sc, lci.WithDevice(dev))
-								if err != nil {
-									errs[t] = err
-									return
-								}
-								if !st.IsRetry() {
-									break
-								}
-								dev.Progress()
+							if err := retry(progress, func() (lci.Status, error) {
+								return rt.PostSend(peer, big, t, sc, lci.WithDevice(dev))
+							}); err != nil {
+								errs[t] = err
+								return
 							}
-							for miss := 0; sc.Load() < 1; miss++ {
-								dev.Progress()
-								if miss&63 == 63 {
-									runtime.Gosched()
-								}
-							}
+							spinUntil(progress, func() bool { return sc.Load() >= 1 })
 							if err := sc.Err(); err != nil {
 								errs[t] = fmt.Errorf("rendezvous send %d/%d thread %d: %w", j, nrdv, t, err)
 								return
@@ -209,12 +191,7 @@ func ChaosSoak(platform lci.Platform, seed uint64, threads, iters int) (ChaosRes
 						if err != nil {
 							return err
 						}
-						for miss := 0; st.IsPosted() && rc.Load() < 1; miss++ {
-							dev.Progress()
-							if miss&63 == 63 {
-								runtime.Gosched()
-							}
-						}
+						spinUntil(progress, func() bool { return !st.IsPosted() || rc.Load() >= 1 })
 						if err := rc.Err(); err != nil {
 							return fmt.Errorf("rendezvous recv %d/%d thread %d: %w", j, nrdv, t, err)
 						}
@@ -226,12 +203,7 @@ func ChaosSoak(platform lci.Platform, seed uint64, threads, iters int) (ChaosRes
 					}
 					return nil
 				}()
-				for miss := 0; !done.Load(); miss++ {
-					dev.Progress()
-					if miss&63 == 63 {
-						runtime.Gosched()
-					}
-				}
+				spinUntil(progress, done.Load)
 			}(t)
 		}
 		if rt.Rank() == 0 {
@@ -368,12 +340,7 @@ func ChaosKill(platform lci.Platform, seed uint64) (KillResult, error) {
 			}
 			return nil
 		case 0:
-			for miss := 0; acks.Load() < 2; miss++ {
-				rt.Progress()
-				if miss&63 == 63 {
-					runtime.Gosched()
-				}
-			}
+			spinUntil(func() { rt.Progress() }, func() bool { return acks.Load() >= 2 })
 			inj.KillRank(2)
 			_, perr := rt.PostSend(2, buf, 0, lci.NewCounter())
 			if err := countIf(perr); err != nil {
@@ -384,12 +351,7 @@ func ChaosKill(platform lci.Platform, seed uint64) (KillResult, error) {
 				return fmt.Errorf("refused AM: %w", err)
 			}
 		case 1:
-			for miss := 0; cnt.Load() < 1; miss++ {
-				rt.Progress()
-				if miss&63 == 63 {
-					runtime.Gosched()
-				}
-			}
+			spinUntil(func() { rt.Progress() }, func() bool { return cnt.Load() >= 1 })
 			if err := countIf(cnt.Err()); err != nil {
 				return fmt.Errorf("swept recv: %w", err)
 			}
@@ -411,120 +373,4 @@ func ChaosKill(platform lci.Platform, seed uint64) (KillResult, error) {
 		return KillResult{}, err
 	}
 	return KillResult{Platform: platform.Name, Seed: seed, PeerDeadErrors: peerDead.Load()}, nil
-}
-
-// ChaosRate measures the Fig-4-shaped small-AM round-trip rate with the
-// failure domain either idle ("plain": no injector and no timeouts, so
-// the attention-gated tick settles once and stays off) or armed
-// ("hardened": an installed — ruleless — injector plus rendezvous
-// timeouts: the timeout clock and the dead-rank sweep hook active; the
-// dedup bookkeeping runs in both). The hardened/plain ratio is the
-// failure domain's standing cost on the fault-free path; TestChaosSoak
-// keeps it >= 0.95.
-func ChaosRate(platform lci.Platform, threads, iters int, hardened bool) (ObsResult, error) {
-	mode := "plain"
-	opts := []lci.WorldOption{
-		lci.WithPlatform(platform),
-		lci.WithRuntimeConfig(core.Config{NumDevices: threads}),
-	}
-	if hardened {
-		mode = "hardened"
-		opts = []lci.WorldOption{
-			lci.WithPlatform(platform),
-			lci.WithRuntimeConfig(core.Config{
-				NumDevices:              threads,
-				RendezvousTimeoutEpochs: 128,
-				RendezvousMaxAttempts:   24,
-			}),
-			lci.WithFaultInjector(lci.NewFaultInjector(1, 2)),
-		}
-	}
-	w := lci.NewWorld(2, opts...)
-	defer w.Close()
-
-	pongs := make([]atomic.Int64, threads)
-	var done atomic.Bool
-	var elapsed time.Duration
-
-	err := w.Launch(func(rt *lci.Runtime) error {
-		peer := 1 - rt.Rank()
-		ping := []byte("ping-pay")
-		pong := []byte("pong-pay")
-
-		var rc lci.RComp
-		if rt.Rank() == 0 {
-			rc = rt.RegisterHandler(func(st lci.Status) { pongs[st.Tag].Add(1) })
-		} else {
-			replyOpts := make([]core.Options, threads)
-			rc = rt.RegisterHandler(func(st lci.Status) {
-				if _, err := rt.Core().PostAM(st.Rank, pong, st.Tag, nil, replyOpts[st.Tag]); err != nil {
-					panic(err)
-				}
-			})
-			for t := 0; t < threads; t++ {
-				replyOpts[t] = core.Options{
-					Device: rt.Device(t), RComp: rc, DisallowRetry: true,
-				}
-			}
-		}
-		if err := rt.Barrier(); err != nil {
-			return err
-		}
-
-		var wg sync.WaitGroup
-		for t := 0; t < threads; t++ {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				dev := rt.Device(t)
-				if rt.Rank() == 0 {
-					for i := int64(0); i < int64(iters); i++ {
-						for {
-							st, err := rt.PostAM(peer, ping, rc,
-								lci.WithTag(t), lci.WithDevice(dev))
-							if err != nil {
-								panic(err)
-							}
-							if !st.IsRetry() {
-								break
-							}
-							dev.Progress()
-						}
-						for miss := 0; pongs[t].Load() <= i; miss++ {
-							dev.Progress()
-							if miss&63 == 63 {
-								runtime.Gosched()
-							}
-						}
-					}
-					return
-				}
-				for miss := 0; !done.Load(); miss++ {
-					dev.Progress()
-					if miss&63 == 63 {
-						runtime.Gosched()
-					}
-				}
-			}(t)
-		}
-		if rt.Rank() == 0 {
-			t0 := time.Now()
-			wg.Wait()
-			elapsed = time.Since(t0)
-			done.Store(true)
-		} else {
-			wg.Wait()
-		}
-		return nil
-	})
-	if err != nil {
-		return ObsResult{}, err
-	}
-
-	msgs := int64(threads) * int64(iters)
-	return ObsResult{
-		Mode: mode, Platform: platform.Name, Threads: threads,
-		Msgs: msgs, Seconds: elapsed.Seconds(),
-		RateMps: float64(msgs) / elapsed.Seconds() / 1e6,
-	}, nil
 }

@@ -101,38 +101,37 @@ func TestRankScaleShape(t *testing.T) {
 		return perRank(h) / perRank(l)
 	}
 
-	var rows []bench.CollResult
-	ok := true
-	// Scheduler noise occasionally craters a whole measurement round;
-	// re-measure before declaring a regression.
-	for attempt := 0; attempt < 3; attempt++ {
-		rows = rows[:0]
-		ok = true
+	// round is one measurement of the whole sweep: its rows and whether
+	// every 32->256 ratio is within the bound.
+	type round struct {
+		rows []bench.CollResult
+		ok   bool
+	}
+	res := remeasure(3, func(int) round {
+		r := round{ok: true}
 		expanse := sweep(lci.SimExpanse(), []int{8, 32, 128, 256})
 		delta := sweep(lci.SimDelta(), []int{32, 256})
 		for _, n := range []int{8, 32, 128, 256} {
-			rows = append(rows, expanse[n]...)
+			r.rows = append(r.rows, expanse[n]...)
 		}
 		for _, n := range []int{32, 256} {
-			rows = append(rows, delta[n]...)
+			r.rows = append(r.rows, delta[n]...)
 		}
 		for _, coll := range []string{"barrier", "allreduce"} {
 			for name, pts := range map[string]map[int][]bench.CollResult{"SimExpanse": expanse, "SimDelta": delta} {
 				got := ratio(pts, coll, 32, 256)
 				t.Logf("%s %s per-rank latency ratio 32->256: %.2fx (bound %.1fx)", name, coll, got, ratioBound)
 				if got > ratioBound {
-					ok = false
+					r.ok = false
 				}
 			}
 		}
-		if ok {
-			break
-		}
-	}
-	if err := bench.WriteJSON("rankscale", bench.Meta{Ranks: 256, Devices: 1}, rows); err != nil {
+		return r
+	}, func(r round) bool { return r.ok })
+	if err := bench.WriteJSON("rankscale", bench.Meta{Ranks: 256, Devices: 1}, res.rows); err != nil {
 		t.Logf("bench artifact not written: %v", err)
 	}
-	if !ok {
+	if !res.ok {
 		for _, coll := range []string{"barrier", "allreduce"} {
 			t.Errorf("per-rank %s latency grew faster than log depth allows (bound %.1fx from 32 to 256 ranks); see logged ratios", coll, ratioBound)
 		}

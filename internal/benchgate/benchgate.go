@@ -76,9 +76,10 @@ func Metric(r map[string]any) (string, float64, bool) {
 
 // Compare gates every baseline series point of base against cur: a point
 // whose rate metric dropped by more than maxDrop (a fraction) counts as a
-// failure. Entries present in only one artifact are reported via logf but
-// do not fail the gate — benches come and go; regressions on live points
-// must not. logf may be nil.
+// failure, and so does a baseline point that cur lacks or carries without
+// a positive rate — a renamed identity field or a collapsed measurement
+// would otherwise switch its gate off unnoticed. Entries only cur has are
+// new points and pass. logf may be nil.
 func Compare(name string, base, cur *Artifact, maxDrop float64, logf func(format string, args ...any)) (failures int) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -93,14 +94,10 @@ func Compare(name string, base, cur *Artifact, maxDrop float64, logf func(format
 		if !ok {
 			continue // baseline entry carries no rate metric: nothing to gate
 		}
-		cr, ok := curByKey[k]
+		_, curVal, ok := Metric(curByKey[k])
 		if !ok {
-			logf("  [%s] no current entry for baseline point {%s} — skipped\n", name, k)
-			continue
-		}
-		_, curVal, ok := Metric(cr)
-		if !ok {
-			logf("  [%s] current entry {%s} has no rate metric — skipped\n", name, k)
+			logf("  [%s] MISSING    no current %s for baseline point {%s}\n", name, field, k)
+			failures++
 			continue
 		}
 		drop := (baseVal - curVal) / baseVal

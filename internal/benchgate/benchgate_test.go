@@ -1,8 +1,10 @@
 package benchgate
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -44,21 +46,45 @@ func TestCompareFlagsLargeDrop(t *testing.T) {
 }
 
 func TestCompareMissingEntriesSkip(t *testing.T) {
-	// Baseline point with no current counterpart: reported, not failed.
-	base := art(map[string]float64{"a": 1.0, "gone": 3.0})
+	// A current point the baseline does not have yet is new: it passes.
+	base := art(map[string]float64{"a": 1.0})
 	cur := art(map[string]float64{"a": 1.0, "new": 9.0})
 	logged := 0
 	logf := func(string, ...any) { logged++ }
 	if f := Compare("t", base, cur, 0.30, logf); f != 0 {
-		t.Fatalf("missing entries produced %d failures, want 0", f)
+		t.Fatalf("a new current entry produced %d failures, want 0", f)
 	}
-	if logged < 2 { // one skip line + one comparison line at minimum
-		t.Fatalf("expected skip/compare lines to be logged, got %d", logged)
+	if logged != 1 { // the comparison line for "a"
+		t.Fatalf("expected one compare line to be logged, got %d", logged)
 	}
-	// Entries without any rate metric are skipped too.
+	// A baseline entry without any rate metric has nothing to gate.
 	base.Results = append(base.Results, map[string]any{"Mode": "no-metric"})
 	if f := Compare("t", base, cur, 0.30, nil); f != 0 {
 		t.Fatalf("metric-less baseline entry produced %d failures", f)
+	}
+}
+
+func TestCompareMissingBaselinePointFails(t *testing.T) {
+	// A baseline point the current artifact lacks — here because its
+	// identity field was renamed — fails instead of switching its gate
+	// off.
+	base := art(map[string]float64{"a": 1.0, "b": 3.0})
+	cur := &Artifact{Bench: "test", Results: []map[string]any{
+		{"Library": "lci", "Mode": "a", "Pairs": float64(8), "RateMps": 1.0},
+		{"Library": "lci", "Path": "b", "Pairs": float64(8), "RateMps": 3.0},
+	}}
+	var lines []string
+	logf := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	if f := Compare("t", base, cur, 0.30, logf); f != 1 {
+		t.Fatalf("renamed identity field produced %d failures, want 1", f)
+	}
+	if got := strings.Join(lines, ""); !strings.Contains(got, "MISSING") || !strings.Contains(got, "Mode=b") {
+		t.Fatalf("the missing point is not named in the log:\n%s", got)
+	}
+	// So does a point whose current rate collapsed to zero (no metric).
+	cur = art(map[string]float64{"a": 1.0, "b": 0})
+	if f := Compare("t", base, cur, 0.30, nil); f != 1 {
+		t.Fatalf("zero current rate produced %d failures, want 1", f)
 	}
 }
 
