@@ -23,6 +23,7 @@ import (
 	"lci"
 	"lci/internal/amt"
 	"lci/internal/bench"
+	"lci/internal/core"
 	"lci/internal/kmer"
 	"lci/internal/lcw"
 	"lci/internal/topo"
@@ -30,6 +31,24 @@ import (
 
 // benchPlatforms returns the evaluation platforms (both simulated).
 func benchPlatforms() []lci.Platform { return lci.Platforms() }
+
+// report measures the workloads with bench.Run and reports each row's
+// median rate under its unit, suffixed with the row's position when
+// there are several.
+func report(b *testing.B, ws ...bench.Workload) {
+	b.Helper()
+	rows, err := bench.Run(0, ws...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, r := range rows {
+		unit := r.Unit
+		if len(rows) > 1 {
+			unit = fmt.Sprintf("%s-%d", r.Unit, i)
+		}
+		b.ReportMetric(r.Median, unit)
+	}
+}
 
 // BenchmarkFig3MessageRateProcess: process-based message rate, 8-byte
 // messages, one single-threaded rank pair per "core" (§6.2.1).
@@ -40,11 +59,8 @@ func BenchmarkFig3MessageRateProcess(b *testing.B) {
 				name := fmt.Sprintf("%s/%s/pairs=%d", plat.Name, kind, pairs)
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						res, err := bench.MessageRateProcess(kind, plat, pairs, 3000)
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.ReportMetric(res.RateMps, "Mmsg/s")
+						cfg := lcw.Config{Kind: kind, Ranks: 2 * pairs, ThreadsPerRank: 1}
+						report(b, bench.MessageRate(cfg, plat, 3000, "process"))
 					}
 				})
 			}
@@ -73,11 +89,8 @@ func BenchmarkFig4MessageRateThread(b *testing.B) {
 				name := fmt.Sprintf("%s/%s/%s/threads=%d", plat.Name, s.kind, mode, threads)
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						res, err := bench.MessageRateThread(s.kind, plat, threads, 2000, s.dedicated)
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.ReportMetric(res.RateMps, "Mmsg/s")
+						cfg := lcw.Config{Kind: s.kind, Ranks: 2, ThreadsPerRank: threads, Dedicated: s.dedicated}
+						report(b, bench.MessageRate(cfg, plat, 2000, "thread-"+mode))
 					}
 				})
 			}
@@ -96,11 +109,8 @@ func BenchmarkMessageRateDevices(b *testing.B) {
 			name := fmt.Sprintf("%s/threads=%d/devices=%d", plat.Name, threads, devices)
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := bench.MessageRateDevices(plat, threads, devices, 2000)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(res.RateMps, "Mmsg/s")
+					cfg := lcw.Config{Kind: lcw.LCI, Ranks: 2, ThreadsPerRank: threads, Devices: devices}
+					report(b, bench.MessageRate(cfg, plat, 2000, "multi-device"))
 				}
 			})
 		}
@@ -117,19 +127,16 @@ func BenchmarkMessageRateLocality(b *testing.B) {
 	for _, plat := range benchPlatforms() {
 		for _, domains := range []int{2, 4} {
 			tp := topo.Uniform(domains, threads/domains)
-			for _, worst := range []bool{false, true} {
-				mode := "local"
-				if worst {
-					mode = "worst"
+			for _, mode := range []string{"local", "worst"} {
+				var place core.Placement = core.LocalPlacement{}
+				if mode == "worst" {
+					place = core.WorstPlacement{}
 				}
 				name := fmt.Sprintf("%s/domains=%d/%s", plat.Name, domains, mode)
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						res, err := bench.MessageRateLocality(plat, tp, threads, devices, 2000, worst)
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.ReportMetric(res.RateMps, "Mmsg/s")
+						cfg := lcw.Config{Kind: lcw.LCI, Ranks: 2, ThreadsPerRank: threads, Devices: devices, Topology: tp, Placement: place}
+						report(b, bench.MessageRate(cfg, plat, 2000, "numa-"+mode))
 					}
 				})
 			}
@@ -137,8 +144,9 @@ func BenchmarkMessageRateLocality(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectiveLatency: graph-driven collective latency (barrier,
-// 8-byte and 64-KiB allreduce) across rank counts on both platforms (the
+// BenchmarkCollectiveLatency: graph-driven collective rate, the inverse
+// of latency (barrier, 8-byte and 64-KiB allreduce as Mops-0..2), across
+// rank counts on both platforms (the
 // standing TestCollShape gate runs the 8-rank point plus the placement
 // comparison and writes BENCH_coll.json).
 func BenchmarkCollectiveLatency(b *testing.B) {
@@ -146,17 +154,7 @@ func BenchmarkCollectiveLatency(b *testing.B) {
 		for _, ranks := range []int{2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/ranks=%d", plat.Name, ranks), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := bench.CollectiveLatency(plat, ranks, 500)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, r := range res {
-						name := r.Collective
-						if r.Size > 0 {
-							name = fmt.Sprintf("%s-%dB", r.Collective, r.Size)
-						}
-						b.ReportMetric(r.Seconds/float64(r.Ops)*1e6, name+"-us")
-					}
+					report(b, bench.CollectiveLatency(plat, ranks, 500)...)
 				}
 			})
 		}
@@ -185,11 +183,7 @@ func BenchmarkFig5BandwidthThread(b *testing.B) {
 				name := fmt.Sprintf("%s/%s/%s/size=%d", plat.Name, s.kind, mode, size)
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						res, err := bench.BandwidthThread(s.kind, plat, 8, iters, size, s.dedicated)
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.ReportMetric(res.GBps, "GB/s")
+						report(b, bench.BandwidthThread(s.kind, plat, 8, iters, size, s.dedicated))
 					}
 				})
 			}
@@ -205,11 +199,7 @@ func BenchmarkFig6Resource(b *testing.B) {
 			name := fmt.Sprintf("%s/threads=%d", res, threads)
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					r, err := bench.ResourceThroughput(res, threads, 200_000)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(r.Mops, "Mops")
+					report(b, bench.ResourceThroughput(res, threads, 200_000))
 				}
 			})
 		}

@@ -2,7 +2,8 @@
 // evaluation (§6.2): Figure 3 (process-based message rate), Figure 4
 // (thread-based message rate, dedicated/shared resources), Figure 5
 // (thread-based bandwidth) and Figure 6 (individual resource
-// throughput), printing one row per series point. It also prints the
+// throughput), printing one row per series point: its median, min and
+// max rate over three timed rounds. It also prints the
 // Table 1 paradigm matrix and the simulated Table 2 platform
 // configuration.
 //
@@ -26,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"lci"
 	"lci/internal/bench"
@@ -53,41 +55,54 @@ func pairSweep() []int {
 	return out
 }
 
+// show measures the workloads and prints one row each.
+func show(ws ...bench.Workload) {
+	rows, err := bench.Run(0, ws...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		return
+	}
+	for _, r := range rows {
+		fmt.Println(r)
+	}
+}
+
 func fig3() {
 	fmt.Println("== Figure 3: process-based message rate (8 B, unidirectional) ==")
 	for _, plat := range lci.Platforms() {
 		for _, kind := range []lcw.Kind{lcw.LCI, lcw.MPI, lcw.GASNET} {
 			for _, pairs := range pairSweep() {
-				res, err := bench.MessageRateProcess(kind, plat, pairs, *itersFlag)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "error:", err)
-					continue
-				}
-				fmt.Println(res)
+				cfg := lcw.Config{Kind: kind, Ranks: 2 * pairs, ThreadsPerRank: 1}
+				show(bench.MessageRate(cfg, plat, *itersFlag, "process"))
 			}
 		}
 	}
 }
 
+// series is one library/resource pairing of Figures 4 and 5.
+type series struct {
+	kind      lcw.Kind
+	dedicated bool
+}
+
+// mode names a series' resource mode.
+func (s series) mode() string {
+	if s.dedicated {
+		return "thread-dedicated"
+	}
+	return "thread-shared"
+}
+
+// fig5Series are Figure 5's pairings; Figure 4 adds GASNet.
+var fig5Series = []series{{lcw.LCI, true}, {lcw.LCI, false}, {lcw.MPIX, true}, {lcw.MPI, false}}
+
 func fig4() {
 	fmt.Println("== Figure 4: thread-based message rate (8 B, unidirectional) ==")
-	type series struct {
-		kind      lcw.Kind
-		dedicated bool
-	}
 	for _, plat := range lci.Platforms() {
-		for _, s := range []series{
-			{lcw.LCI, true}, {lcw.LCI, false},
-			{lcw.MPIX, true}, {lcw.MPI, false},
-			{lcw.GASNET, false},
-		} {
+		for _, s := range slices.Concat(fig5Series, []series{{lcw.GASNET, false}}) {
 			for _, threads := range pairSweep() {
-				res, err := bench.MessageRateThread(s.kind, plat, threads, *itersFlag, s.dedicated)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "error:", err)
-					continue
-				}
-				fmt.Println(res)
+				cfg := lcw.Config{Kind: s.kind, Ranks: 2, ThreadsPerRank: threads, Dedicated: s.dedicated}
+				show(bench.MessageRate(cfg, plat, *itersFlag, s.mode()))
 			}
 		}
 	}
@@ -95,27 +110,14 @@ func fig4() {
 
 func fig5() {
 	fmt.Println("== Figure 5: thread-based bandwidth (send-receive, unidirectional) ==")
-	type series struct {
-		kind      lcw.Kind
-		dedicated bool
-	}
-	threads := *maxPairs
 	for _, plat := range lci.Platforms() {
-		for _, s := range []series{{lcw.LCI, true}, {lcw.LCI, false}, {lcw.MPIX, true}, {lcw.MPI, false}} {
+		for _, s := range fig5Series {
 			for size := 16; size <= 1<<20; size *= 16 {
 				iters := *itersFlag / 10
 				if size >= 1<<18 {
 					iters /= 4
 				}
-				if iters < 8 {
-					iters = 8
-				}
-				res, err := bench.BandwidthThread(s.kind, plat, threads, iters, size, s.dedicated)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "error:", err)
-					continue
-				}
-				fmt.Println(res)
+				show(bench.BandwidthThread(s.kind, plat, *maxPairs, max(iters, 8), size, s.dedicated))
 			}
 		}
 	}
@@ -125,96 +127,58 @@ func fig6() {
 	fmt.Println("== Figure 6: individual resource throughput ==")
 	for _, res := range []string{"packet", "matching", "cq", "cq-fixed"} {
 		for _, threads := range pairSweep() {
-			r, err := bench.ResourceThroughput(res, threads, *itersFlag)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				continue
-			}
-			fmt.Println(r)
+			show(bench.ResourceThroughput(res, threads, *itersFlag))
 		}
 	}
 }
 
 func coll() {
-	fmt.Println("== Collectives: graph-driven latency (barrier / allreduce) ==")
-	iters := *itersFlag
+	fmt.Println("== Collectives: graph-driven barrier / allreduce rate (the inverse of latency) ==")
 	for _, plat := range lci.Platforms() {
 		for ranks := 2; ranks <= *maxPairs; ranks *= 2 {
-			res, err := bench.CollectiveLatency(plat, ranks, iters)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				continue
-			}
-			for _, r := range res {
-				fmt.Println(r)
-			}
+			show(bench.CollectiveLatency(plat, ranks, *itersFlag)...)
 		}
 	}
 	fmt.Println("== Collectives: placement-aware vs worst-placement barrier ==")
-	const ranks, devices = 8, 2
 	tp := topo.Uniform(2, 4)
 	for _, plat := range lci.Platforms() {
 		for _, worst := range []bool{false, true} {
-			r, err := bench.CollectiveLocality(plat, tp, ranks, devices, iters, worst)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				continue
-			}
-			fmt.Println(r)
+			show(bench.CollectiveLocality(plat, tp, 8, 2, *itersFlag, worst))
 		}
 	}
 }
 
 func am() {
 	fmt.Println("== Active messages: handler path vs completion-queue shim (8 B round trips) ==")
-	iters := *itersFlag
 	for _, plat := range lci.Platforms() {
 		for threads := 1; threads <= *maxPairs; threads *= 2 {
-			for _, mode := range []string{"handler", "cqshim"} {
-				r, err := bench.AMRate(plat, threads, iters, mode)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "error:", err)
-					continue
-				}
-				fmt.Println(r)
-			}
+			show(bench.AMRate(plat, threads, *itersFlag, "handler"), bench.AMRate(plat, threads, *itersFlag, "cqshim"))
 		}
 	}
 }
 
 func agg() {
 	fmt.Println("== Aggregation: coalesced vs naive 16 B records, local vs cross-NUMA homing ==")
-	iters := *itersFlag
 	for _, plat := range lci.Platforms() {
 		for threads := 1; threads <= *maxPairs; threads *= 2 {
+			var ws []bench.Workload
 			for _, mode := range []string{"agg", "naive", "local", "cross"} {
-				r, err := bench.AggRate(plat, threads, iters, mode)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "error:", err)
-					continue
-				}
-				fmt.Println(r)
+				ws = append(ws, bench.AggRate(plat, threads, *itersFlag, mode))
 			}
+			show(ws...)
 		}
 	}
 }
 
 func rankscale() {
-	fmt.Println("== Rank scaling: p2p / barrier / 8 B allreduce latency, 8..256 ranks ==")
+	fmt.Println("== Rank scaling: p2p / barrier / 8 B allreduce rate, 8..256 ranks ==")
 	for _, plat := range lci.Platforms() {
 		for _, ranks := range []int{8, 32, 128, 256} {
 			iters := 20
 			if ranks >= 128 {
 				iters = 10
 			}
-			rows, err := bench.RankScale(plat, ranks, iters)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				continue
-			}
-			for _, r := range rows {
-				fmt.Println(r)
-			}
+			show(bench.RankScale(plat, ranks, iters)...)
 		}
 	}
 	fmt.Println("== Rank scaling: sparse connectivity (256 ranks, 8 peers each) ==")
@@ -253,14 +217,7 @@ func chaos() {
 		fmt.Println(res)
 	}
 	fmt.Println("== Chaos: fault-free-path cost (hardening armed, no faults scheduled) ==")
-	for _, mode := range []string{"plain", "hardened"} {
-		res, err := bench.AMRate(lci.SimExpanse(), threads, *itersFlag, mode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			continue
-		}
-		fmt.Println(res)
-	}
+	show(bench.AMRate(lci.SimExpanse(), threads, *itersFlag, "plain"), bench.AMRate(lci.SimExpanse(), threads, *itersFlag, "hardened"))
 }
 
 func stats() {

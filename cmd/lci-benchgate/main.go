@@ -10,14 +10,15 @@
 //	lci-benchgate -baseline <dir> [-current <dir>] [-max-drop 0.30] [names...]
 //
 // With no names, every BENCH_*.json present in the baseline directory is
-// compared. Result entries are matched by their identity fields (library,
-// platform, mode, pairs/threads/devices/domains/size, resource name) and
-// compared on their rate metric (RateMps, GBps or Mops — whichever the
-// entry carries). A baseline point missing from a current artifact fails
-// the gate like a regression (a renamed identity field must not switch a
-// gate off); points only the current artifact has are new and pass, and
-// a missing current file is skipped (its producing test did not run).
-// The comparison logic lives in internal/benchgate; this is the
+// compared. Rows are matched by the identity key their benchmark declared
+// and compared on their median rate over the rounds they were measured
+// in. A baseline point missing from a current artifact fails the gate
+// like a regression (a renamed identity must not switch a gate off);
+// points only the current artifact has are new and pass, and a missing
+// current file is skipped (its producing test did not run). A current
+// artifact measured at a different GOMAXPROCS or GOARCH than its
+// baseline is refused (exit 2): rates taken on other cores do not
+// compare. The comparison logic lives in internal/benchgate; this is the
 // flag-parsing shell.
 package main
 

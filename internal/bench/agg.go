@@ -11,24 +11,8 @@ import (
 	"lci/internal/core"
 )
 
-// AggResult is one point of the small-record aggregation comparison:
-// coalesced batches versus naive per-record posts, and local versus
-// adversarial cross-NUMA buffer homing.
-type AggResult struct {
-	Mode     string  // agg / naive / local / cross
-	Platform string  // SimExpanse / SimDelta
-	Threads  int     // producer threads (= device-pool size)
-	Msgs     int64   // records delivered
-	Seconds  float64 // wall time to full delivery
-	RateMps  float64 // million records per second
-}
-
-func (r AggResult) String() string {
-	return fmt.Sprintf("%-6s %-11s threads=%-3d rate=%8.3f Mrec/s",
-		r.Mode, r.Platform, r.Threads, r.RateMps)
-}
-
-// AggRate measures one-way small-record throughput: rank 0 runs `threads`
+// AggRate measures one-way small-record throughput in million records
+// per second (BENCH_agg.json): rank 0 runs `threads`
 // producer goroutines each pushing `iters` 16-byte records to rank 1,
 // whose `threads` server goroutines progress their devices until every
 // record is delivered. The clock runs on rank 0 from the post-barrier
@@ -48,11 +32,18 @@ func (r AggResult) String() string {
 //     HomeDevice policy) versus the farthest domain from it ("cross",
 //     HomeFarthest) — the modeled remote-memory append penalty is the
 //     measured difference.
-func AggRate(platform lci.Platform, threads, iters int, mode string) (AggResult, error) {
+func AggRate(platform lci.Platform, threads, iters int, mode string) Workload {
+	return workload("Mrec/s", func() (int64, time.Duration, error) {
+		return aggRound(platform, threads, iters, mode)
+	}, "%s %s threads=%d", mode, platform.Name, threads)
+}
+
+// aggRound times one AggRate round.
+func aggRound(platform lci.Platform, threads, iters int, mode string) (int64, time.Duration, error) {
 	switch mode {
 	case "agg", "naive", "local", "cross":
 	default:
-		return AggResult{}, fmt.Errorf("bench: unknown agg mode %q", mode)
+		return 0, 0, fmt.Errorf("bench: unknown agg mode %q", mode)
 	}
 	opts := []lci.WorldOption{
 		lci.WithPlatform(platform),
@@ -177,13 +168,5 @@ func AggRate(platform lci.Platform, threads, iters int, mode string) (AggResult,
 		}
 		return nil
 	})
-	if err != nil {
-		return AggResult{}, err
-	}
-
-	return AggResult{
-		Mode: mode, Platform: platform.Name, Threads: threads,
-		Msgs: total, Seconds: elapsed.Seconds(),
-		RateMps: float64(total) / elapsed.Seconds() / 1e6,
-	}, nil
+	return total, elapsed, err
 }

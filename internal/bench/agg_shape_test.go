@@ -29,46 +29,26 @@ func TestAggShape(t *testing.T) {
 	// the modeled per-record costs to dominate scheduler noise; naive pays
 	// the full per-message NIC cost and is slow but stable at low volume.
 	const itersAgg, itersNaive = 50000, 4000
-	// Best-of-3: on small (even single-core) CI machines the wall clock
-	// of one run is dominated by which spinning goroutine holds the core,
-	// not by the path under test; the best run is the one with the least
-	// scheduler interference.
-	mode := func(mode string, iters int) func() bench.AggResult {
-		return func() bench.AggResult {
-			var best bench.AggResult
-			for rep := 0; rep < 3; rep++ {
-				r, err := bench.AggRate(lci.SimExpanse(), threads, iters, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r.RateMps > best.RateMps {
-					best = r
-				}
-			}
-			t.Logf("%v", best)
-			return best
-		}
+	mode := func(mode string, iters int) bench.Workload {
+		return bench.AggRate(lci.SimExpanse(), threads, iters, mode)
 	}
-	// Each attempt measures both pairs, alternating which side of each
-	// goes first.
-	res := remeasure(2, func(attempt int) [4]bench.AggResult {
-		coalesce := paired(attempt, mode("agg", itersAgg), mode("naive", itersNaive))
-		homing := paired(attempt, mode("local", itersAgg), mode("cross", itersAgg))
-		return [4]bench.AggResult{coalesce[0], coalesce[1], homing[0], homing[1]}
-	}, func(r [4]bench.AggResult) bool {
-		return r[0].RateMps >= 3*r[1].RateMps && r[2].RateMps >= 1.2*r[3].RateMps
+	// Gate on each row's best round: on small (even single-core) CI
+	// machines the wall clock of one round is dominated by which spinning
+	// goroutine holds the core, not by the path under test; the best round
+	// is the one with the least scheduler interference.
+	res := remeasure(2, func(attempt int) []bench.Row {
+		return run(t, attempt, mode("agg", itersAgg), mode("naive", itersNaive), mode("local", itersAgg), mode("cross", itersAgg))
+	}, func(r []bench.Row) bool {
+		return r[0].Max >= 3*r[1].Max && r[2].Max >= 1.2*r[3].Max
 	})
+	write(t, "agg", res)
 	agg, naive, local, cross := res[0], res[1], res[2], res[3]
-	meta := bench.Meta{Threads: threads, Platform: lci.SimExpanse().Name}
-	if err := bench.WriteJSON("agg", meta, res[:]); err != nil {
-		t.Logf("bench artifact not written: %v", err)
-	}
-	if agg.RateMps < 3*naive.RateMps {
+	if agg.Max < 3*naive.Max {
 		t.Errorf("expected aggregated record rate >= 3x naive per-record posts, got %.3f vs %.3f Mrec/s (%.2fx)",
-			agg.RateMps, naive.RateMps, agg.RateMps/naive.RateMps)
+			agg.Max, naive.Max, agg.Max/naive.Max)
 	}
-	if local.RateMps < 1.2*cross.RateMps {
+	if local.Max < 1.2*cross.Max {
 		t.Errorf("expected local buffer homing >= 1.2x cross-NUMA homing, got %.3f vs %.3f Mrec/s (%.2fx)",
-			local.RateMps, cross.RateMps, local.RateMps/cross.RateMps)
+			local.Max, cross.Max, local.Max/cross.Max)
 	}
 }

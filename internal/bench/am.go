@@ -12,27 +12,12 @@ import (
 	"lci/internal/core"
 )
 
-// AMResult is one point of the small-AM round-trip comparisons: the
-// handler path against the completion-queue shim it replaced
-// (BENCH_am.json), telemetry on against off (BENCH_obs.json) and the
-// failure domain idle against armed (BENCH_chaos.json).
-type AMResult struct {
-	Mode     string  // see AMRate
-	Platform string  // SimExpanse / SimDelta
-	Threads  int     // threads per rank (= device-pool size)
-	Msgs     int64   // round trips counted
-	Seconds  float64 // wall time
-	RateMps  float64 // million round trips per second
-}
-
-func (r AMResult) String() string {
-	return fmt.Sprintf("am %-8s %-11s threads=%-3d rate=%8.3f Mrt/s",
-		r.Mode, r.Platform, r.Threads, r.RateMps)
-}
-
-// AMRate measures small-AM ping-pong throughput: two ranks, threads
-// goroutines per rank on a threads-sized device pool, 8-byte payloads,
-// thread t on its own device with tag t pairing the traffic.
+// AMRate measures small-AM ping-pong throughput in million round trips
+// per second: two ranks, threads goroutines per rank on a threads-sized
+// device pool, 8-byte payloads, thread t on its own device with tag t
+// pairing the traffic. It is the workload behind BENCH_am.json (handler
+// against cqshim), BENCH_obs.json (enabled against disabled) and
+// BENCH_chaos.json (plain against hardened).
 //
 // mode selects the receive-side serving discipline and the runtime:
 //
@@ -59,35 +44,37 @@ func (r AMResult) String() string {
 //   - "hardened": the handler path with the failure domain armed — an
 //     installed, ruleless fault injector plus rendezvous timeouts (128
 //     epochs × 24 attempts, the chaos soak's budget) — but no faults.
-func AMRate(platform lci.Platform, threads, iters int, mode string) (AMResult, error) {
-	cfg := core.Config{NumDevices: threads}
-	var opts []lci.WorldOption
-	after := func(rt *lci.Runtime) error {
-		s := rt.Telemetry().Snapshot()
-		if s.Empty() {
-			return fmt.Errorf("bench: telemetry enabled but snapshot empty after %d round trips",
-				int64(threads)*int64(iters))
+func AMRate(platform lci.Platform, threads, iters int, mode string) Workload {
+	return workload("Mrt/s", func() (int64, time.Duration, error) {
+		cfg := core.Config{NumDevices: threads}
+		var opts []lci.WorldOption
+		after := func(rt *lci.Runtime) error {
+			s := rt.Telemetry().Snapshot()
+			if s.Empty() {
+				return fmt.Errorf("bench: telemetry enabled but snapshot empty after %d round trips",
+					int64(threads)*int64(iters))
+			}
+			if s.Total().AMFires == 0 {
+				return fmt.Errorf("bench: telemetry enabled but no AM fires counted")
+			}
+			return nil
 		}
-		if s.Total().AMFires == 0 {
-			return fmt.Errorf("bench: telemetry enabled but no AM fires counted")
+		switch mode {
+		case "handler", "enabled", "plain":
+		case "cqshim":
+			after = nil
+		case "disabled":
+			opts = append(opts, lci.WithTelemetry(lci.TelemetryConfig{Disable: true}))
+			after = nil
+		case "hardened":
+			cfg.RendezvousTimeoutEpochs, cfg.RendezvousMaxAttempts = 128, 24
+			opts = append(opts, lci.WithFaultInjector(lci.NewFaultInjector(1, 2)))
+		default:
+			return 0, 0, fmt.Errorf("bench: unknown AM mode %q", mode)
 		}
-		return nil
-	}
-	switch mode {
-	case "handler", "enabled", "plain":
-	case "cqshim":
-		after = nil
-	case "disabled":
-		opts = append(opts, lci.WithTelemetry(lci.TelemetryConfig{Disable: true}))
-		after = nil
-	case "hardened":
-		cfg.RendezvousTimeoutEpochs, cfg.RendezvousMaxAttempts = 128, 24
-		opts = append(opts, lci.WithFaultInjector(lci.NewFaultInjector(1, 2)))
-	default:
-		return AMResult{}, fmt.Errorf("bench: unknown AM mode %q", mode)
-	}
-	opts = append(opts, lci.WithRuntimeConfig(cfg))
-	return amPingPong(platform, threads, iters, mode, opts, nil, after)
+		opts = append(opts, lci.WithRuntimeConfig(cfg))
+		return amPingPong(platform, threads, iters, mode, opts, nil, after)
+	}, "am %s %s threads=%d", mode, platform.Name, threads)
 }
 
 // TelemetryReport runs a short mixed workload (one rendezvous-sized
@@ -143,7 +130,7 @@ func TelemetryReport(platform lci.Platform, threads, iters int, trace bool) (str
 		}
 		return nil
 	}
-	if _, err := amPingPong(platform, threads, iters, "handler", opts, rdv, render); err != nil {
+	if _, _, err := amPingPong(platform, threads, iters, "handler", opts, rdv, render); err != nil {
 		return "", err
 	}
 	return b.String(), nil
@@ -178,10 +165,10 @@ func spinUntil(progress func(), cond func() bool) {
 // mode), and threads pairs of iters 8-byte round trips, timed on rank 0.
 // before, if set, runs on every rank after the handlers are registered
 // and before the timed phase; after, if set, runs on rank 0 once the
-// timed phase is over. The round trips are counted as they complete,
-// not assumed.
+// timed phase is over. It returns the round trips counted as they
+// completed, which must come to threads×iters, and rank 0's timed phase.
 func amPingPong(platform lci.Platform, threads, iters int, mode string, opts []lci.WorldOption,
-	before, after func(rt *lci.Runtime) error) (AMResult, error) {
+	before, after func(rt *lci.Runtime) error) (int64, time.Duration, error) {
 	w := lci.NewWorld(2, append([]lci.WorldOption{lci.WithPlatform(platform)}, opts...)...)
 	defer w.Close()
 
@@ -296,16 +283,14 @@ func amPingPong(platform lci.Platform, threads, iters int, mode string, opts []l
 		return nil
 	})
 	if err != nil {
-		return AMResult{}, err
+		return 0, 0, err
 	}
-
 	var msgs int64
 	for t := range pongs {
 		msgs += pongs[t].Load()
 	}
-	return AMResult{
-		Mode: mode, Platform: platform.Name, Threads: threads,
-		Msgs: msgs, Seconds: elapsed.Seconds(),
-		RateMps: float64(msgs) / elapsed.Seconds() / 1e6,
-	}, nil
+	if want := int64(threads) * int64(iters); msgs != want {
+		return 0, 0, fmt.Errorf("bench: %d round trips counted, want %d", msgs, want)
+	}
+	return msgs, elapsed, nil
 }

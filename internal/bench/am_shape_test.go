@@ -3,18 +3,16 @@ package bench_test
 import (
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"lci"
 	"lci/internal/bench"
 )
 
-// amRate measures one AMRate mode at 8 threads on SimExpanse, failing
-// the test on error.
-func amRate(t *testing.T, iters int, mode string) func() bench.AMResult {
-	return func() bench.AMResult {
-		return logged[bench.AMResult](t)(bench.AMRate(lci.SimExpanse(), 8, iters, mode))
-	}
+// amRate is one AMRate mode at 8 threads on SimExpanse.
+func amRate(iters int, mode string) bench.Workload {
+	return bench.AMRate(lci.SimExpanse(), 8, iters, mode)
 }
 
 // TestAMShape is the standing active-message gate: serving small AMs
@@ -34,38 +32,35 @@ func TestAMShape(t *testing.T) {
 		t.Skip("race detector skews performance ratios")
 	}
 	const iters = 8000
-	res := remeasure(2, func(attempt int) [2]bench.AMResult {
-		return paired(attempt, amRate(t, iters, "handler"), amRate(t, iters, "cqshim"))
-	}, func(r [2]bench.AMResult) bool { return r[0].RateMps >= 1.2*r[1].RateMps })
-	handler, shim := res[0], res[1]
-	meta := bench.Meta{Threads: handler.Threads, Platform: lci.SimExpanse().Name}
-	if err := bench.WriteJSON("am", meta, res[:]); err != nil {
-		t.Logf("bench artifact not written: %v", err)
-	}
-	if handler.RateMps < 1.2*shim.RateMps {
+	res := remeasure(2, func(attempt int) []bench.Row {
+		return run(t, attempt, amRate(iters, "handler"), amRate(iters, "cqshim"))
+	}, func(r []bench.Row) bool { return r[0].Median >= 1.2*r[1].Median })
+	write(t, "am", res)
+	if handler, shim := res[0], res[1]; handler.Median < 1.2*shim.Median {
 		t.Errorf("expected handler AM path >= 1.2x the cq shim path, got %.3f vs %.3f Mrt/s (%.2fx)",
-			handler.RateMps, shim.RateMps, handler.RateMps/shim.RateMps)
+			handler.Median, shim.Median, handler.Median/shim.Median)
 	}
 }
 
 // TestAMPingPongModes drives every mode of the one AM ping-pong body at
 // a tiny size — it is a functional check, so it runs in -short and under
 // the race detector, where the rate gates skip. Each mode must count
-// exactly threads×iters round trips, and the telemetry report (with the
+// exactly threads×iters round trips in every round (AMRate fails a round
+// that does not), and the telemetry report (with the
 // trace ring on) must show both rendezvous sides, the round trips as
 // handler fires and the trace tail.
 func TestAMPingPongModes(t *testing.T) {
 	const threads, iters = 2, 20
 	for _, mode := range []string{"handler", "cqshim", "enabled", "disabled", "plain", "hardened"} {
-		r, err := bench.AMRate(lci.SimExpanse(), threads, iters, mode)
+		rows, err := bench.Run(0, bench.AMRate(lci.SimExpanse(), threads, iters, mode))
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if r.Mode != mode || r.Msgs != threads*iters || !(r.RateMps > 0) {
-			t.Errorf("%s: got %+v, want mode %q with %d round trips at a positive rate", mode, r, mode, threads*iters)
+		if r := rows[0]; !strings.Contains(r.Key, mode) || r.Rounds != bench.Rounds || !(r.Min > 0) {
+			t.Errorf("%s: got %+v, want the mode in its key and %d rounds at a positive rate", mode, r, bench.Rounds)
 		}
 	}
-	if _, err := bench.AMRate(lci.SimExpanse(), threads, iters, "bogus"); err == nil {
+	if _, err := bench.Run(0, bench.AMRate(lci.SimExpanse(), threads, iters, "bogus")); err == nil {
 		t.Error("unknown mode accepted")
 	}
 

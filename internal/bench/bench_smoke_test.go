@@ -5,6 +5,7 @@ import (
 
 	"lci"
 	"lci/internal/bench"
+	"lci/internal/core"
 	"lci/internal/lcw"
 	"lci/internal/topo"
 )
@@ -23,22 +24,17 @@ func TestFig4Shape(t *testing.T) {
 		t.Skip("race detector skews performance ratios")
 	}
 	const threads, iters = 8, 12000
-	rate := func(kind lcw.Kind, dedicated bool) func() bench.RateResult {
-		return func() bench.RateResult {
-			return logged[bench.RateResult](t)(bench.MessageRateThread(kind, lci.SimExpanse(), threads, iters, dedicated))
-		}
+	rate := func(kind lcw.Kind, dedicated bool, mode string) bench.Workload {
+		cfg := lcw.Config{Kind: kind, Ranks: 2, ThreadsPerRank: threads, Dedicated: dedicated}
+		return bench.MessageRate(cfg, lci.SimExpanse(), iters, mode)
 	}
-	res := remeasure(2, func(attempt int) [2]bench.RateResult {
-		return paired(attempt, rate(lcw.LCI, true), rate(lcw.MPI, false))
-	}, func(r [2]bench.RateResult) bool { return r[0].RateMps >= 2*r[1].RateMps })
-	lciRes, mpiRes := res[0], res[1]
-	meta := bench.Meta{Threads: threads, Platform: lci.SimExpanse().Name}
-	if err := bench.WriteJSON("fig4", meta, res[:]); err != nil {
-		t.Logf("bench artifact not written: %v", err)
-	}
-	if lciRes.RateMps < 2*mpiRes.RateMps {
+	res := remeasure(2, func(attempt int) []bench.Row {
+		return run(t, attempt, rate(lcw.LCI, true, "thread-dedicated"), rate(lcw.MPI, false, "thread-shared"))
+	}, func(r []bench.Row) bool { return r[0].Median >= 2*r[1].Median })
+	write(t, "fig4", res)
+	if lciRes, mpiRes := res[0], res[1]; lciRes.Median < 2*mpiRes.Median {
 		t.Errorf("expected LCI dedicated >> MPI shared, got %.3f vs %.3f Mmsg/s",
-			lciRes.RateMps, mpiRes.RateMps)
+			lciRes.Median, mpiRes.Median)
 	}
 }
 
@@ -60,34 +56,32 @@ func TestDevScaleShape(t *testing.T) {
 	const threads, iters = 8, 10000
 	const slack = 0.90 // adjacent-point tolerance for timer noise
 	devices := []int{1, 2, 4}
-	gateOK := func(rs []bench.RateResult) bool {
+	gateOK := func(rs []bench.Row) bool {
 		for i := 1; i < len(rs); i++ {
-			if rs[i].RateMps < slack*rs[i-1].RateMps {
+			if rs[i].Median < slack*rs[i-1].Median {
 				return false
 			}
 		}
-		return rs[len(rs)-1].RateMps >= 1.5*rs[0].RateMps
+		return rs[len(rs)-1].Median >= 1.5*rs[0].Median
 	}
-	results := remeasure(2, func(int) []bench.RateResult {
-		var rs []bench.RateResult
+	results := remeasure(2, func(attempt int) []bench.Row {
+		var ws []bench.Workload
 		for _, d := range devices {
-			rs = append(rs, logged[bench.RateResult](t)(bench.MessageRateDevices(lci.SimExpanse(), threads, d, iters)))
+			cfg := lcw.Config{Kind: lcw.LCI, Ranks: 2, ThreadsPerRank: threads, Devices: d}
+			ws = append(ws, bench.MessageRate(cfg, lci.SimExpanse(), iters, "multi-device"))
 		}
-		return rs
+		return run(t, attempt, ws...)
 	}, gateOK)
-	meta := bench.Meta{Threads: threads, Platform: lci.SimExpanse().Name}
-	if err := bench.WriteJSON("devscale", meta, results); err != nil {
-		t.Logf("bench artifact not written: %v", err)
-	}
+	write(t, "devscale", results)
 	// Monotone within the slack between adjacent points...
 	for i := 1; i < len(results); i++ {
-		if results[i].RateMps < slack*results[i-1].RateMps {
+		if results[i].Median < slack*results[i-1].Median {
 			t.Errorf("device scaling regressed: %d devices = %.3f Mmsg/s < %d devices = %.3f Mmsg/s",
-				devices[i], results[i].RateMps, devices[i-1], results[i-1].RateMps)
+				devices[i], results[i].Median, devices[i-1], results[i-1].Median)
 		}
 	}
 	// ...and a hard 1.5x end-to-end gate.
-	if r1, r4 := results[0].RateMps, results[len(results)-1].RateMps; r4 < 1.5*r1 {
+	if r1, r4 := results[0].Median, results[len(results)-1].Median; r4 < 1.5*r1 {
 		t.Errorf("expected >=1.5x rate at 4 devices vs 1, got %.3f vs %.3f Mmsg/s (%.2fx)",
 			r4, r1, r4/r1)
 	}
@@ -112,22 +106,17 @@ func TestNumaPlacementShape(t *testing.T) {
 	}
 	const threads, devices, iters = 8, 4, 8000
 	tp := topo.Uniform(2, threads/2) // 2 domains, cores 0-3 / 4-7
-	place := func(worst bool) func() bench.RateResult {
-		return func() bench.RateResult {
-			return logged[bench.RateResult](t)(bench.MessageRateLocality(lci.SimExpanse(), tp, threads, devices, iters, worst))
-		}
+	place := func(p core.Placement, mode string) bench.Workload {
+		cfg := lcw.Config{Kind: lcw.LCI, Ranks: 2, ThreadsPerRank: threads, Devices: devices, Topology: tp, Placement: p}
+		return bench.MessageRate(cfg, lci.SimExpanse(), iters, mode)
 	}
-	res := remeasure(2, func(attempt int) [2]bench.RateResult {
-		return paired(attempt, place(false), place(true))
-	}, func(r [2]bench.RateResult) bool { return r[0].RateMps >= 1.3*r[1].RateMps })
-	local, worstRes := res[0], res[1]
-	meta := bench.Meta{Threads: threads, Devices: devices, Domains: tp.Domains(), Platform: lci.SimExpanse().Name}
-	if err := bench.WriteJSON("numa", meta, res[:]); err != nil {
-		t.Logf("bench artifact not written: %v", err)
-	}
-	if local.RateMps < 1.3*worstRes.RateMps {
+	res := remeasure(2, func(attempt int) []bench.Row {
+		return run(t, attempt, place(core.LocalPlacement{}, "numa-local"), place(core.WorstPlacement{}, "numa-worst"))
+	}, func(r []bench.Row) bool { return r[0].Median >= 1.3*r[1].Median })
+	write(t, "numa", res)
+	if local, worst := res[0], res[1]; local.Median < 1.3*worst.Median {
 		t.Errorf("expected local placement >= 1.3x worst-case remote placement, got %.3f vs %.3f Mmsg/s (%.2fx)",
-			local.RateMps, worstRes.RateMps, local.RateMps/worstRes.RateMps)
+			local.Median, worst.Median, local.Median/worst.Median)
 	}
 }
 
@@ -176,36 +165,24 @@ func TestCollShape(t *testing.T) {
 	}
 	const ranks, devices, iters = 8, 2, 2000
 	tp := topo.Uniform(2, 4)
-	place := func(worst bool) func() bench.CollResult {
-		return func() bench.CollResult {
-			return logged[bench.CollResult](t)(bench.CollectiveLocality(lci.SimExpanse(), tp, ranks, devices, iters, worst))
-		}
+	place := func(worst bool) bench.Workload {
+		return bench.CollectiveLocality(lci.SimExpanse(), tp, ranks, devices, iters, worst)
 	}
-	res := remeasure(2, func(attempt int) [2]bench.CollResult {
-		return paired(attempt, place(false), place(true))
-	}, func(r [2]bench.CollResult) bool { return r[0].Mops >= 1.3*r[1].Mops })
-	local, worstRes := res[0], res[1]
-	lat, err := bench.CollectiveLatency(lci.SimExpanse(), ranks, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range lat {
-		t.Logf("%v", r)
-	}
-	meta := bench.Meta{Threads: ranks, Devices: devices, Domains: tp.Domains(), Platform: lci.SimExpanse().Name}
-	results := append(append([]bench.CollResult{}, lat...), local, worstRes)
-	if err := bench.WriteJSON("coll", meta, results); err != nil {
-		t.Logf("bench artifact not written: %v", err)
-	}
-	if local.Mops < 1.3*worstRes.Mops {
+	res := remeasure(2, func(attempt int) []bench.Row {
+		return run(t, attempt, place(false), place(true))
+	}, func(r []bench.Row) bool { return r[0].Median >= 1.3*r[1].Median })
+	lat := run(t, 0, bench.CollectiveLatency(lci.SimExpanse(), ranks, iters)...)
+	write(t, "coll", append(lat, res...))
+	if local, worst := res[0], res[1]; local.Median < 1.3*worst.Median {
 		t.Errorf("expected placement-aware barrier >= 1.3x worst placement, got %.5f vs %.5f Mops (%.2fx)",
-			local.Mops, worstRes.Mops, local.Mops/worstRes.Mops)
+			local.Median, worst.Median, local.Median/worst.Median)
 	}
 }
 
 // TestFig6Shape asserts the resource-throughput ordering of Figure 6:
 // packet pool > matching engine > completion queue at high thread counts.
-// The measured points are written to BENCH_fig6.json.
+// The measured points, with the fixed-capacity queue (cq-fixed) alongside
+// the growable one, are written to BENCH_fig6.json.
 func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resource throughput comparison is not short")
@@ -214,24 +191,14 @@ func TestFig6Shape(t *testing.T) {
 		t.Skip("race detector skews performance ratios")
 	}
 	const threads, iters = 8, 200_000
-	pool, err := bench.ResourceThroughput("packet", threads, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	match, err := bench.ResourceThroughput("matching", threads, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cq, err := bench.ResourceThroughput("cq", threads, iters/4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%v\n%v\n%v", pool, match, cq)
-	if err := bench.WriteJSON("fig6", bench.Meta{Threads: threads}, []bench.ResResult{pool, match, cq}); err != nil {
-		t.Logf("bench artifact not written: %v", err)
-	}
-	if !(pool.Mops > match.Mops && match.Mops > cq.Mops) {
+	res := run(t, 0,
+		bench.ResourceThroughput("packet", threads, iters),
+		bench.ResourceThroughput("matching", threads, iters),
+		bench.ResourceThroughput("cq", threads, iters/4),
+		bench.ResourceThroughput("cq-fixed", threads, iters/4))
+	write(t, "fig6", res)
+	if pool, match, cq := res[0], res[1], res[2]; !(pool.Median > match.Median && match.Median > cq.Median) {
 		t.Errorf("expected pool > matching > cq, got %.1f / %.1f / %.1f Mops",
-			pool.Mops, match.Mops, cq.Mops)
+			pool.Median, match.Median, cq.Median)
 	}
 }

@@ -87,24 +87,20 @@ func TestChaosSoak(t *testing.T) {
 	}
 	// Absolute rates on small shared CI machines swing by 20%+ between
 	// runs (frequency scaling, neighbors), so the gate uses the paired
-	// per-attempt ratio: each attempt measures plain and hardened
-	// back-to-back under the same machine state, alternating which goes
-	// first. A real hardened-path cost depresses the ratio of every
-	// attempt; noise does not.
+	// per-attempt ratio of medians: each attempt measures plain and
+	// hardened round by round under the same machine state, alternating
+	// which goes first. A real hardened-path cost depresses the ratio of
+	// every attempt; noise does not.
 	const rateIters = 24000
 	bestRatio := 0.0
-	res := remeasure(4, func(attempt int) [2]bench.AMResult {
-		r := paired(attempt, amRate(t, rateIters, "plain"), amRate(t, rateIters, "hardened"))
-		bestRatio = max(bestRatio, r[1].RateMps/r[0].RateMps)
+	res := remeasure(4, func(attempt int) []bench.Row {
+		r := run(t, attempt, amRate(rateIters, "plain"), amRate(rateIters, "hardened"))
+		bestRatio = max(bestRatio, r[1].Median/r[0].Median)
 		return r
-	}, func(r [2]bench.AMResult) bool { return r[1].RateMps >= 0.95*r[0].RateMps })
-	plain, hardened := res[0], res[1]
-	meta := bench.Meta{Threads: threads, Platform: lci.SimExpanse().Name}
-	if err := bench.WriteJSON("chaos", meta, []bench.AMResult{hardened, plain}); err != nil {
-		t.Logf("bench artifact not written: %v", err)
-	}
-	if bestRatio < 0.95 {
+	}, func(r []bench.Row) bool { return r[1].Median >= 0.95*r[0].Median })
+	write(t, "chaos", res)
+	if plain, hardened := res[0], res[1]; bestRatio < 0.95 {
 		t.Errorf("fault-free hardened path above cost bound: hardened %.3f vs plain %.3f Mrt/s in the last attempt (best ratio %.3fx, want >= 0.95x)",
-			hardened.RateMps, plain.RateMps, bestRatio)
+			hardened.Median, plain.Median, bestRatio)
 	}
 }

@@ -11,40 +11,21 @@ import (
 	"lci/internal/topo"
 )
 
-// CollResult is one point of a collective-latency series. Identity
-// fields (Collective/Platform/Mode/Ranks/Size/Domains) key the benchgate
-// comparison; Mops is the gated rate metric (collectives per second /
-// 1e6 — latency is its inverse).
-type CollResult struct {
-	Collective string // barrier / allreduce
-	Platform   string
-	Mode       string // default / numa-local / numa-worst
-	Ranks      int
-	Size       int     `json:",omitempty"` // payload bytes per rank (reductions)
-	Domains    int     `json:",omitempty"` // NUMA domain count (locality mode)
-	Ops        int64   // collectives measured
-	Seconds    float64 // wall time
-	Mops       float64 // million collectives per second
-}
-
-func (r CollResult) String() string {
-	lat := r.Seconds / float64(r.Ops) * 1e6
-	return fmt.Sprintf("%-9s %-11s %-10s ranks=%-3d size=%-6d lat=%9.2f us  rate=%8.5f Mops",
-		r.Collective, r.Platform, r.Mode, r.Ranks, r.Size, lat, r.Mops)
-}
-
 // collWorldCfg is the lean runtime sizing used by every collective
 // measurement.
 func collWorldCfg(devices int) core.Config {
 	return core.Config{NumDevices: devices, PacketsPerWorker: 256, PreRecvs: 64}
 }
 
-// timeCollective runs one collective iters times on every rank of the
-// world (after one warmup call, between alignment barriers) and returns
-// rank 0's wall time for the measured phase. makeBody builds each rank's
-// per-iteration closure (its buffers are rank-private).
-func timeCollective(w *lci.World, iters int, makeBody func(rt *lci.Runtime) func() error) (time.Duration, error) {
-	var mu sync.Mutex
+// timeCollective is one round of a collective series: a fresh world of
+// ranks built from opts runs one collective iters times on every rank
+// (after one warmup call, between alignment barriers), and rank 0's wall
+// time for the measured phase is returned with the iteration count.
+// makeBody builds each rank's per-iteration closure (its buffers are
+// rank-private).
+func timeCollective(ranks, iters int, opts []lci.WorldOption, makeBody func(rt *lci.Runtime) func() error) (int64, time.Duration, error) {
+	w := lci.NewWorld(ranks, opts...)
+	defer w.Close()
 	var elapsed time.Duration
 	err := w.Launch(func(rt *lci.Runtime) error {
 		body := makeBody(rt)
@@ -64,63 +45,49 @@ func timeCollective(w *lci.World, iters int, makeBody func(rt *lci.Runtime) func
 			return err
 		}
 		if rt.Rank() == 0 {
-			mu.Lock()
 			elapsed = time.Since(t0)
-			mu.Unlock()
 		}
 		return nil
 	})
-	return elapsed, err
+	return int64(iters), elapsed, err
 }
 
-// CollectiveLatency measures the collectives' round latencies on one
-// platform: barrier, 8-byte allreduce and 64-KiB allreduce across ranks
-// single-threaded goroutine-ranks. The 64-KiB point exercises the
-// rendezvous protocol and the reduce+broadcast algorithm; the 8-byte
-// point is the recursive-doubling fast path at power-of-two rank counts.
-func CollectiveLatency(platform lci.Platform, ranks, iters int) ([]CollResult, error) {
-	type job struct {
-		name  string
-		size  int
-		iters int
-	}
-	big := iters / 16
-	if big < 4 {
-		big = 4
-	}
-	jobs := []job{
+// CollectiveLatency is the collectives' latency series on one platform,
+// in million collectives per second (latency is the inverse): barrier,
+// 8-byte allreduce and 64-KiB allreduce across ranks single-threaded
+// goroutine-ranks. The 64-KiB point exercises the rendezvous protocol and
+// the reduce+broadcast algorithm; the 8-byte point is the
+// recursive-doubling fast path at power-of-two rank counts.
+func CollectiveLatency(platform lci.Platform, ranks, iters int) []Workload {
+	opts := []lci.WorldOption{lci.WithPlatform(platform), lci.WithRuntimeConfig(collWorldCfg(0))}
+	big := max(iters/16, 4)
+	var ws []Workload
+	for _, j := range []struct {
+		name        string
+		size, iters int
+	}{
 		{"barrier", 0, iters},
 		{"allreduce", 8, iters},
 		{"allreduce", 64 << 10, big},
+	} {
+		ws = append(ws, workload("Mops", func() (int64, time.Duration, error) {
+			return timeCollective(ranks, j.iters, opts, func(rt *lci.Runtime) func() error {
+				if j.name == "barrier" {
+					return func() error { return rt.Barrier() }
+				}
+				send := make([]byte, j.size)
+				recv := make([]byte, j.size)
+				for i := 0; i+8 <= j.size; i += 8 {
+					binary.LittleEndian.PutUint64(send[i:], uint64(rt.Rank()+i))
+				}
+				return func() error { return rt.Allreduce(send, recv, lci.Int64, lci.OpSum) }
+			})
+		}, "%s %s default ranks=%d size=%d", j.name, platform.Name, ranks, j.size))
 	}
-	var out []CollResult
-	for _, j := range jobs {
-		w := lci.NewWorld(ranks, lci.WithPlatform(platform), lci.WithRuntimeConfig(collWorldCfg(0)))
-		elapsed, err := timeCollective(w, j.iters, func(rt *lci.Runtime) func() error {
-			if j.name == "barrier" {
-				return func() error { return rt.Barrier() }
-			}
-			send := make([]byte, j.size)
-			recv := make([]byte, j.size)
-			for i := 0; i+8 <= j.size; i += 8 {
-				binary.LittleEndian.PutUint64(send[i:], uint64(rt.Rank()+i))
-			}
-			return func() error { return rt.Allreduce(send, recv, lci.Int64, lci.OpSum) }
-		})
-		w.Close()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CollResult{
-			Collective: j.name, Platform: platform.Name, Mode: "default",
-			Ranks: ranks, Size: j.size, Ops: int64(j.iters), Seconds: elapsed.Seconds(),
-			Mops: float64(j.iters) / elapsed.Seconds() / 1e6,
-		})
-	}
-	return out, nil
+	return ws
 }
 
-// CollectiveLocality measures barrier latency with every rank's driving
+// CollectiveLocality measures barrier rate with every rank's driving
 // thread registered on topology core 0 and the collective posted through
 // its affinity: under LocalPlacement the pinned device is same-domain
 // (no cross-domain penalty); under WorstPlacement every post and
@@ -128,31 +95,25 @@ func CollectiveLatency(platform lci.Platform, ranks, iters int) ([]CollResult, e
 // The ranks are the "threads" here — one driving goroutine per rank,
 // which is what the paper's thread-scaling collectives look like from
 // one node's perspective.
-func CollectiveLocality(platform lci.Platform, t *topo.Topology, ranks, devices, iters int, worst bool) (CollResult, error) {
+func CollectiveLocality(platform lci.Platform, t *topo.Topology, ranks, devices, iters int, worst bool) Workload {
 	var place core.Placement = core.LocalPlacement{}
 	mode := "numa-local"
 	if worst {
 		place = core.WorstPlacement{}
 		mode = "numa-worst"
 	}
-	w := lci.NewWorld(ranks,
+	opts := []lci.WorldOption{
 		lci.WithPlatform(platform),
 		lci.WithRuntimeConfig(collWorldCfg(devices)),
 		lci.WithTopology(t),
-		lci.WithPlacement(place))
-	defer w.Close()
-	elapsed, err := timeCollective(w, iters, func(rt *lci.Runtime) func() error {
-		a := rt.RegisterThreadAt(0) // same core on every rank: symmetric device indices
-		return func() error { return rt.Barrier(lci.WithAffinity(a)) }
-	})
-	if err != nil {
-		return CollResult{}, err
+		lci.WithPlacement(place),
 	}
-	return CollResult{
-		Collective: "barrier", Platform: platform.Name, Mode: mode,
-		Ranks: ranks, Domains: t.Domains(), Ops: int64(iters), Seconds: elapsed.Seconds(),
-		Mops: float64(iters) / elapsed.Seconds() / 1e6,
-	}, nil
+	return workload("Mops", func() (int64, time.Duration, error) {
+		return timeCollective(ranks, iters, opts, func(rt *lci.Runtime) func() error {
+			a := rt.RegisterThreadAt(0) // same core on every rank: symmetric device indices
+			return func() error { return rt.Barrier(lci.WithAffinity(a)) }
+		})
+	}, "barrier %s %s ranks=%d devices=%d domains=%d", platform.Name, mode, ranks, devices, t.Domains())
 }
 
 // CollCorrectness runs the bit-correctness matrix at one (ranks,

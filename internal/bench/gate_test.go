@@ -1,6 +1,10 @@
 package bench_test
 
-import "testing"
+import (
+	"testing"
+
+	"lci/internal/bench"
+)
 
 // remeasure runs measure(attempt) for attempt = 0, 1, ... and returns the
 // first result that meets the gate, or the last one after attempts
@@ -16,27 +20,23 @@ func remeasure[T any](attempts int, measure func(attempt int) T, gate func(T) bo
 	return r
 }
 
-// paired measures both sides of a two-sided gate, a first on even
-// attempts and b first on odd ones, so neither side always runs on the
-// machine state the other left behind. The result is {a, b} either way.
-func paired[T any](attempt int, a, b func() T) [2]T {
-	if attempt%2 == 1 {
-		rb := b()
-		return [2]T{a(), rb}
+// run measures the workloads with bench.Run, failing t on an error and
+// logging every row.
+func run(t *testing.T, attempt int, ws ...bench.Workload) []bench.Row {
+	t.Helper()
+	rows, err := bench.Run(attempt, ws...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ra := a()
-	return [2]T{ra, b()}
+	for _, r := range rows {
+		t.Logf("%v", r)
+	}
+	return rows
 }
 
-// logged returns a function that fails t on a measurement error and
-// otherwise logs and returns the result: logged(t)(bench.X(...)).
-func logged[T any](t *testing.T) func(T, error) T {
-	return func(r T, err error) T {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%v", r)
-		return r
+// write records rows as the BENCH_<name>.json artifact.
+func write(t *testing.T, name string, rows []bench.Row) {
+	if err := bench.WriteJSON(name, rows); err != nil {
+		t.Logf("bench artifact not written: %v", err)
 	}
 }

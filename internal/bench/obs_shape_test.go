@@ -3,7 +3,6 @@ package bench_test
 import (
 	"testing"
 
-	"lci"
 	"lci/internal/bench"
 )
 
@@ -25,16 +24,12 @@ func TestTelemetryOverhead(t *testing.T) {
 		t.Skip("race detector skews performance ratios")
 	}
 	const iters = 8000
-	res := remeasure(3, func(attempt int) [2]bench.AMResult {
-		return paired(attempt, amRate(t, iters, "disabled"), amRate(t, iters, "enabled"))
-	}, func(r [2]bench.AMResult) bool { return r[1].RateMps >= 0.9*r[0].RateMps })
-	disabled, enabled := res[0], res[1]
-	meta := bench.Meta{Threads: enabled.Threads, Platform: lci.SimExpanse().Name}
-	if err := bench.WriteJSON("obs", meta, []bench.AMResult{enabled, disabled}); err != nil {
-		t.Logf("bench artifact not written: %v", err)
-	}
-	if enabled.RateMps < 0.9*disabled.RateMps {
+	res := remeasure(3, func(attempt int) []bench.Row {
+		return run(t, attempt, amRate(iters, "disabled"), amRate(iters, "enabled"))
+	}, func(r []bench.Row) bool { return r[1].Median >= 0.9*r[0].Median })
+	write(t, "obs", res)
+	if disabled, enabled := res[0], res[1]; enabled.Median < 0.9*disabled.Median {
 		t.Errorf("telemetry overhead above bound: enabled %.3f vs disabled %.3f Mrt/s (%.2fx, want >= 0.90x)",
-			enabled.RateMps, disabled.RateMps, enabled.RateMps/disabled.RateMps)
+			enabled.Median, disabled.Median, enabled.Median/disabled.Median)
 	}
 }

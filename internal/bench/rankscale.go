@@ -26,100 +26,81 @@ func rankScaleCfg() core.Config {
 	}
 }
 
-// RankScale measures latency at one world size: an 8-byte neighbor
-// ping-pong (ranks r and r^1 pair up — the flat O(1) reference), the
-// dissemination barrier and the 8-byte recursive-doubling allreduce
-// (both O(log n)). Results reuse the CollResult shape under Mode
-// "rankscale" so cmd/lci-benchgate keys them like any collective row.
+// RankScale is the latency series at one world size, in million
+// operations per second: an 8-byte neighbor ping-pong (ranks r and r^1
+// pair up — the flat O(1) reference), the dissemination barrier and the
+// 8-byte recursive-doubling allreduce (both O(log n)), in that order.
 //
 // On an oversubscribed host the raw wall time of n spinning
 // goroutine-ranks grows like n*f(n) — every rank's work serializes onto
 // the same few cores — so callers comparing world sizes must normalize
-// per rank (Seconds/Ops/Ranks), which isolates the algorithmic factor
-// f(n). TestRankScaleShape gates on exactly that quotient.
-func RankScale(platform lci.Platform, ranks, iters int) ([]CollResult, error) {
-	if ranks%2 != 0 {
-		return nil, fmt.Errorf("bench: rank-scale sweep needs an even rank count, got %d", ranks)
+// per rank (1/(rate·ranks)), which isolates the algorithmic factor f(n).
+// TestRankScaleShape gates on exactly that quotient.
+func RankScale(platform lci.Platform, ranks, iters int) []Workload {
+	opts := []lci.WorldOption{lci.WithPlatform(platform), lci.WithRuntimeConfig(rankScaleCfg())}
+	var ws []Workload
+	for _, name := range []string{"p2p", "barrier", "allreduce"} {
+		ws = append(ws, workload("Mops", func() (int64, time.Duration, error) {
+			if ranks%2 != 0 {
+				return 0, 0, fmt.Errorf("bench: rank-scale sweep needs an even rank count, got %d", ranks)
+			}
+			return timeCollective(ranks, iters, opts, func(rt *lci.Runtime) func() error {
+				switch name {
+				case "barrier":
+					return func() error { return rt.Barrier() }
+				case "allreduce":
+					send := make([]byte, 8)
+					recv := make([]byte, 8)
+					binary.LittleEndian.PutUint64(send, uint64(rt.Rank()))
+					return func() error { return rt.Allreduce(send, recv, lci.Int64, lci.OpSum) }
+				}
+				return neighborPingPong(rt)
+			})
+		}, "%s %s rankscale ranks=%d", name, platform.Name, ranks))
 	}
-	type job struct {
-		name string
-		size int
-	}
-	jobs := []job{{"p2p", 8}, {"barrier", 0}, {"allreduce", 8}}
-	var out []CollResult
-	for _, j := range jobs {
-		w := lci.NewWorld(ranks, lci.WithPlatform(platform), lci.WithRuntimeConfig(rankScaleCfg()))
-		elapsed, err := timeCollective(w, iters, func(rt *lci.Runtime) func() error {
-			switch j.name {
-			case "barrier":
-				return func() error { return rt.Barrier() }
-			case "allreduce":
-				send := make([]byte, j.size)
-				recv := make([]byte, j.size)
-				binary.LittleEndian.PutUint64(send, uint64(rt.Rank()))
-				return func() error { return rt.Allreduce(send, recv, lci.Int64, lci.OpSum) }
+	return ws
+}
+
+// neighborPingPong is rank rt's body of the 8-byte neighbor ping-pong:
+// the even rank leads, the odd rank echoes, and one call is one round
+// trip.
+func neighborPingPong(rt *lci.Runtime) func() error {
+	const tag = 7321
+	peer := rt.Rank() ^ 1
+	outBuf := make([]byte, 8)
+	inBuf := make([]byte, 8)
+	progress := func() { rt.Progress() }
+	send := func() error {
+		for miss := 0; ; miss++ {
+			st, err := rt.PostSend(peer, outBuf, tag, nil)
+			if err != nil || !st.IsRetry() {
+				return err
 			}
-			// Neighbor ping-pong: even rank leads, odd rank echoes. One
-			// body() call is one round trip.
-			const tag = 7321
-			peer := rt.Rank() ^ 1
-			outBuf := make([]byte, j.size)
-			inBuf := make([]byte, j.size)
-			send := func() error {
-				for miss := 0; ; miss++ {
-					st, err := rt.PostSend(peer, outBuf, tag, nil)
-					if err != nil {
-						return err
-					}
-					if !st.IsRetry() {
-						return nil
-					}
-					rt.Progress()
-					if miss&63 == 63 {
-						runtime.Gosched() // oversubscription fairness
-					}
-				}
+			rt.Progress()
+			if miss&63 == 63 {
+				runtime.Gosched() // oversubscription fairness
 			}
-			recv := func() error {
-				c := lci.NewCounter()
-				st, err := rt.PostRecv(peer, inBuf, tag, c)
-				if err != nil {
-					return err
-				}
-				for miss := 0; st.IsPosted() && c.Load() < 1; miss++ {
-					rt.Progress()
-					if miss&63 == 63 {
-						runtime.Gosched()
-					}
-				}
-				return nil
-			}
-			if rt.Rank()%2 == 0 {
-				return func() error {
-					if err := send(); err != nil {
-						return err
-					}
-					return recv()
-				}
-			}
-			return func() error {
-				if err := recv(); err != nil {
-					return err
-				}
-				return send()
-			}
-		})
-		w.Close()
-		if err != nil {
-			return nil, err
 		}
-		out = append(out, CollResult{
-			Collective: j.name, Platform: platform.Name, Mode: "rankscale",
-			Ranks: ranks, Size: j.size, Ops: int64(iters), Seconds: elapsed.Seconds(),
-			Mops: float64(iters) / elapsed.Seconds() / 1e6,
-		})
 	}
-	return out, nil
+	recv := func() error {
+		c := lci.NewCounter()
+		st, err := rt.PostRecv(peer, inBuf, tag, c)
+		if err != nil {
+			return err
+		}
+		spinUntil(progress, func() bool { return !st.IsPosted() || c.Load() >= 1 })
+		return nil
+	}
+	first, second := send, recv
+	if rt.Rank()%2 == 1 {
+		first, second = recv, send
+	}
+	return func() error {
+		if err := first(); err != nil {
+			return err
+		}
+		return second()
+	}
 }
 
 // SparseStats summarizes connection state after a sparse all-to-few

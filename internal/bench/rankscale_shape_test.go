@@ -9,15 +9,19 @@ import (
 
 // perRank normalizes a rank-scale row to per-rank latency: on an
 // oversubscribed host n spinning goroutine-ranks serialize onto the same
-// few cores, so raw wall time grows like n*f(n); Seconds/Ops/Ranks
-// isolates the algorithmic factor f(n) regardless of core count.
-func perRank(r bench.CollResult) float64 {
-	return r.Seconds / float64(r.Ops) / float64(r.Ranks)
+// few cores, so raw wall time grows like n*f(n); 1/(rate·n) isolates the
+// algorithmic factor f(n) regardless of core count. It takes the row's
+// best round: on small CI machines one round's wall clock is dominated
+// by which spinning goroutine-rank holds the cores; the best round has
+// the least scheduler interference and is the closest to the modeled
+// latency.
+func perRank(r bench.Row, ranks int) float64 {
+	return 1 / (r.Max * float64(ranks))
 }
 
 // rankScaleIters trims the iteration count as the world grows so the
-// 256-rank points stay inside a CI time budget; the per-rank metric
-// divides by Ops, so points at different iteration counts compare.
+// 256-rank points stay inside a CI time budget; the per-rank metric is
+// taken from a rate, so points at different iteration counts compare.
 func rankScaleIters(ranks int) int {
 	switch {
 	case ranks >= 256:
@@ -55,56 +59,20 @@ func TestRankScaleShape(t *testing.T) {
 	// trips the gate with a ~5x margin.
 	const ratioBound = 2.6
 
-	sweep := func(platform lci.Platform, sizes []int) map[int][]bench.CollResult {
-		points := make(map[int][]bench.CollResult)
+	// sweep measures the p2p, barrier and allreduce rows (in that order)
+	// at every size.
+	sweep := func(platform lci.Platform, sizes []int) map[int][]bench.Row {
+		points := make(map[int][]bench.Row)
 		for _, n := range sizes {
-			// Best-of-3 per point: on small CI machines one run's wall
-			// clock is dominated by which spinning goroutine-rank holds
-			// the cores; the best run has the least scheduler
-			// interference and is the closest to the modeled latency.
-			var best []bench.CollResult
-			for rep := 0; rep < 3; rep++ {
-				rows, err := bench.RankScale(platform, n, rankScaleIters(n))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if best == nil {
-					best = rows
-					continue
-				}
-				for i, r := range rows {
-					if r.Mops > best[i].Mops {
-						best[i] = r
-					}
-				}
-			}
-			for _, r := range best {
-				t.Logf("%v", r)
-			}
-			points[n] = best
+			points[n] = run(t, 0, bench.RankScale(platform, n, rankScaleIters(n))...)
 		}
 		return points
-	}
-	// ratio returns perRank(hi)/perRank(lo) for the named collective.
-	ratio := func(points map[int][]bench.CollResult, name string, lo, hi int) float64 {
-		var l, h bench.CollResult
-		for _, r := range points[lo] {
-			if r.Collective == name {
-				l = r
-			}
-		}
-		for _, r := range points[hi] {
-			if r.Collective == name {
-				h = r
-			}
-		}
-		return perRank(h) / perRank(l)
 	}
 
 	// round is one measurement of the whole sweep: its rows and whether
 	// every 32->256 ratio is within the bound.
 	type round struct {
-		rows []bench.CollResult
+		rows []bench.Row
 		ok   bool
 	}
 	res := remeasure(3, func(int) round {
@@ -117,9 +85,10 @@ func TestRankScaleShape(t *testing.T) {
 		for _, n := range []int{32, 256} {
 			r.rows = append(r.rows, delta[n]...)
 		}
-		for _, coll := range []string{"barrier", "allreduce"} {
-			for name, pts := range map[string]map[int][]bench.CollResult{"SimExpanse": expanse, "SimDelta": delta} {
-				got := ratio(pts, coll, 32, 256)
+		// Rows 1 and 2 of RankScale's p2p, barrier, allreduce.
+		for i, coll := range []string{"barrier", "allreduce"} {
+			for name, pts := range map[string]map[int][]bench.Row{"SimExpanse": expanse, "SimDelta": delta} {
+				got := perRank(pts[256][i+1], 256) / perRank(pts[32][i+1], 32)
 				t.Logf("%s %s per-rank latency ratio 32->256: %.2fx (bound %.1fx)", name, coll, got, ratioBound)
 				if got > ratioBound {
 					r.ok = false
@@ -128,9 +97,7 @@ func TestRankScaleShape(t *testing.T) {
 		}
 		return r
 	}, func(r round) bool { return r.ok })
-	if err := bench.WriteJSON("rankscale", bench.Meta{Ranks: 256, Devices: 1}, res.rows); err != nil {
-		t.Logf("bench artifact not written: %v", err)
-	}
+	write(t, "rankscale", res.rows)
 	if !res.ok {
 		for _, coll := range []string{"barrier", "allreduce"} {
 			t.Errorf("per-rank %s latency grew faster than log depth allows (bound %.1fx from 32 to 256 ranks); see logged ratios", coll, ratioBound)
@@ -174,11 +141,5 @@ func TestRankScaleSmoke(t *testing.T) {
 	if testing.Short() || bench.RaceEnabled {
 		return // timing point is log-only and not worth race-mode minutes
 	}
-	rows, err := bench.RankScale(lci.SimExpanse(), 64, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%v", r)
-	}
+	run(t, 0, bench.RankScale(lci.SimExpanse(), 64, 10)...)
 }

@@ -1,115 +1,70 @@
 // Package benchgate implements the bench-regression gate behind the
-// cmd/lci-benchgate CLI: it loads BENCH_*.json artifacts, matches result
-// entries by their identity fields, and flags series points whose rate
-// metric dropped by more than an allowed fraction against the committed
-// baseline. The CLI is a thin flag-parsing wrapper; CI drives it after
-// the full test pass rewrites the artifacts in the working tree.
+// cmd/lci-benchgate CLI: it loads BENCH_*.json artifacts, matches rows by
+// the identity key their benchmark declared, and flags rows whose median
+// rate dropped by more than an allowed fraction against the committed
+// baseline. It refuses to compare artifacts measured at a different
+// GOMAXPROCS or on a different GOARCH. The CLI is a thin flag-parsing
+// wrapper; CI drives it after the full test pass writes fresh artifacts.
 package benchgate
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
+
+	"lci/internal/bench"
 )
 
-// MetricFields are the recognized rate metrics, in preference order.
-var MetricFields = []string{"RateMps", "GBps", "Mops"}
-
-// Artifact mirrors bench.Artifact loosely: only the fields the gate
-// needs, tolerant of older envelope layouts (it ignores everything but
-// results).
-type Artifact struct {
-	Bench   string           `json:"bench"`
-	Results []map[string]any `json:"results"`
-}
-
 // Load reads and decodes one artifact file.
-func Load(path string) (*Artifact, error) {
+func Load(path string) (*bench.Artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var a Artifact
+	var a bench.Artifact
 	if err := json.Unmarshal(data, &a); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &a, nil
 }
 
-// Key builds a stable identity for one result entry from everything that
-// is not a measurement: string fields plus integer-valued configuration
-// fields (Pairs, Threads, Devices, Domains, Size), excluding counters and
-// timings.
-func Key(r map[string]any) string {
-	skip := map[string]bool{
-		"Msgs": true, "Bytes": true, "Seconds": true, "Ops": true,
-		"RateMps": true, "GBps": true, "Mops": true,
+// Compare gates every baseline row of base against the cur row with the
+// same key: a row whose median dropped by more than maxDrop (a fraction)
+// counts as a failure, and so does a baseline row that cur lacks or
+// carries without a positive median — a renamed identity or a collapsed
+// measurement would otherwise switch its gate off unnoticed. Rows only
+// cur has are new points and pass. Artifacts measured at a different
+// GOMAXPROCS or GOARCH are not compared at all: that is an error. logf
+// may be nil.
+func Compare(name string, base, cur *bench.Artifact, maxDrop float64, logf func(format string, args ...any)) (failures int, err error) {
+	if b, c := base.Meta, cur.Meta; b.GoMaxProcs != c.GoMaxProcs || b.GOARCH != c.GOARCH {
+		return 0, fmt.Errorf("%s: measured at gomaxprocs=%d on %s, baseline at gomaxprocs=%d on %s; rates from another core count or architecture do not compare",
+			name, c.GoMaxProcs, c.GOARCH, b.GoMaxProcs, b.GOARCH)
 	}
-	parts := make([]string, 0, len(r))
-	for k, v := range r {
-		if skip[k] {
-			continue
-		}
-		switch v := v.(type) {
-		case string:
-			parts = append(parts, fmt.Sprintf("%s=%s", k, v))
-		case float64:
-			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
-		}
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, " ")
-}
-
-// Metric extracts the entry's rate metric: the first MetricFields member
-// present with a positive value.
-func Metric(r map[string]any) (string, float64, bool) {
-	for _, f := range MetricFields {
-		if v, ok := r[f].(float64); ok && v > 0 {
-			return f, v, true
-		}
-	}
-	return "", 0, false
-}
-
-// Compare gates every baseline series point of base against cur: a point
-// whose rate metric dropped by more than maxDrop (a fraction) counts as a
-// failure, and so does a baseline point that cur lacks or carries without
-// a positive rate — a renamed identity field or a collapsed measurement
-// would otherwise switch its gate off unnoticed. Entries only cur has are
-// new points and pass. logf may be nil.
-func Compare(name string, base, cur *Artifact, maxDrop float64, logf func(format string, args ...any)) (failures int) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	curByKey := make(map[string]map[string]any, len(cur.Results))
+	curByKey := make(map[string]bench.Row, len(cur.Results))
 	for _, r := range cur.Results {
-		curByKey[Key(r)] = r
+		curByKey[r.Key] = r
 	}
 	for _, br := range base.Results {
-		k := Key(br)
-		field, baseVal, ok := Metric(br)
-		if !ok {
-			continue // baseline entry carries no rate metric: nothing to gate
-		}
-		_, curVal, ok := Metric(curByKey[k])
-		if !ok {
-			logf("  [%s] MISSING    no current %s for baseline point {%s}\n", name, field, k)
+		cr, ok := curByKey[br.Key]
+		if !ok || !(cr.Median > 0) {
+			logf("  [%s] MISSING    no current median for baseline point {%s}\n", name, br.Key)
 			failures++
 			continue
 		}
-		drop := (baseVal - curVal) / baseVal
+		drop := (br.Median - cr.Median) / br.Median
 		status := "ok"
 		if drop > maxDrop {
 			status = "REGRESSION"
 			failures++
 		}
-		logf("  [%s] %-10s %s: %s %.3f -> %.3f (%+.1f%%)\n",
-			name, status, k, field, baseVal, curVal, -drop*100)
+		logf("  [%s] %-10s %s: median %.4g -> %.4g %s (%+.1f%%; current min %.4g, max %.4g)\n",
+			name, status, br.Key, br.Median, cr.Median, br.Unit, -drop*100, cr.Min, cr.Max)
 	}
-	return failures
+	return failures, nil
 }
 
 // CompareFiles is Compare over two artifact paths.
@@ -122,5 +77,5 @@ func CompareFiles(name, basePath, curPath string, maxDrop float64, logf func(for
 	if err != nil {
 		return 0, err
 	}
-	return Compare(name, base, cur, maxDrop, logf), nil
+	return Compare(name, base, cur, maxDrop, logf)
 }

@@ -6,23 +6,40 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"lci/internal/bench"
 )
 
-// art builds an artifact with one result row per (mode, rate) pair.
-func art(rates map[string]float64) *Artifact {
-	a := &Artifact{Bench: "test"}
-	for mode, rate := range rates {
-		a.Results = append(a.Results, map[string]any{
-			"Library": "lci", "Mode": mode, "Pairs": float64(8), "RateMps": rate,
+// host is the measurement host every test artifact records unless a test
+// changes it.
+var host = bench.Meta{GoMaxProcs: 2, GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64"}
+
+// art builds an artifact with one row per (key, median) pair, its min
+// and max 10% either side.
+func art(medians map[string]float64) *bench.Artifact {
+	a := &bench.Artifact{Bench: "test", Meta: host}
+	for key, m := range medians {
+		a.Results = append(a.Results, bench.Row{
+			Key: key, Unit: "Mmsg/s", Median: m, Min: 0.9 * m, Max: 1.1 * m, Rounds: 3,
 		})
 	}
 	return a
 }
 
+// compare is Compare for artifacts that must be comparable.
+func compare(t *testing.T, base, cur *bench.Artifact, logf func(string, ...any)) int {
+	t.Helper()
+	f, err := Compare("t", base, cur, 0.30, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestCompareBaselineMatch(t *testing.T) {
 	base := art(map[string]float64{"a": 1.0, "b": 2.0})
 	cur := art(map[string]float64{"a": 1.05, "b": 1.9})
-	if f := Compare("t", base, cur, 0.30, nil); f != 0 {
+	if f := compare(t, base, cur, nil); f != 0 {
 		t.Fatalf("matching artifacts produced %d failures", f)
 	}
 }
@@ -30,17 +47,17 @@ func TestCompareBaselineMatch(t *testing.T) {
 func TestCompareFlagsLargeDrop(t *testing.T) {
 	base := art(map[string]float64{"a": 1.0, "b": 2.0})
 	cur := art(map[string]float64{"a": 0.6, "b": 1.9}) // a dropped 40%
-	if f := Compare("t", base, cur, 0.30, nil); f != 1 {
+	if f := compare(t, base, cur, nil); f != 1 {
 		t.Fatalf("40%% drop produced %d failures, want 1", f)
 	}
 	// A drop inside the tolerance passes (strictly-greater gate).
 	cur = art(map[string]float64{"a": 0.75, "b": 2.0})
-	if f := Compare("t", base, cur, 0.30, nil); f != 0 {
+	if f := compare(t, base, cur, nil); f != 0 {
 		t.Fatalf("25%% drop produced %d failures, want 0", f)
 	}
 	// Improvements never fail.
 	cur = art(map[string]float64{"a": 5.0, "b": 9.0})
-	if f := Compare("t", base, cur, 0.30, nil); f != 0 {
+	if f := compare(t, base, cur, nil); f != 0 {
 		t.Fatalf("improvement produced %d failures", f)
 	}
 }
@@ -51,64 +68,78 @@ func TestCompareMissingEntriesSkip(t *testing.T) {
 	cur := art(map[string]float64{"a": 1.0, "new": 9.0})
 	logged := 0
 	logf := func(string, ...any) { logged++ }
-	if f := Compare("t", base, cur, 0.30, logf); f != 0 {
+	if f := compare(t, base, cur, logf); f != 0 {
 		t.Fatalf("a new current entry produced %d failures, want 0", f)
 	}
 	if logged != 1 { // the comparison line for "a"
 		t.Fatalf("expected one compare line to be logged, got %d", logged)
 	}
-	// A baseline entry without any rate metric has nothing to gate.
-	base.Results = append(base.Results, map[string]any{"Mode": "no-metric"})
-	if f := Compare("t", base, cur, 0.30, nil); f != 0 {
-		t.Fatalf("metric-less baseline entry produced %d failures", f)
-	}
 }
 
 func TestCompareMissingBaselinePointFails(t *testing.T) {
 	// A baseline point the current artifact lacks — here because its
-	// identity field was renamed — fails instead of switching its gate
-	// off.
-	base := art(map[string]float64{"a": 1.0, "b": 3.0})
-	cur := &Artifact{Bench: "test", Results: []map[string]any{
-		{"Library": "lci", "Mode": "a", "Pairs": float64(8), "RateMps": 1.0},
-		{"Library": "lci", "Path": "b", "Pairs": float64(8), "RateMps": 3.0},
-	}}
+	// benchmark renamed the identity it declares — fails as MISSING instead
+	// of switching its gate off.
+	base := art(map[string]float64{"lci SimExpanse thread-shared pairs=8": 1.0, "b": 3.0})
+	cur := art(map[string]float64{"lci SimExpanse shared pairs=8": 1.0, "b": 3.0})
 	var lines []string
 	logf := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
-	if f := Compare("t", base, cur, 0.30, logf); f != 1 {
-		t.Fatalf("renamed identity field produced %d failures, want 1", f)
+	if f := compare(t, base, cur, logf); f != 1 {
+		t.Fatalf("renamed identity produced %d failures, want 1", f)
 	}
-	if got := strings.Join(lines, ""); !strings.Contains(got, "MISSING") || !strings.Contains(got, "Mode=b") {
+	if got := strings.Join(lines, ""); !strings.Contains(got, "MISSING") || !strings.Contains(got, "{lci SimExpanse thread-shared pairs=8}") {
 		t.Fatalf("the missing point is not named in the log:\n%s", got)
 	}
-	// So does a point whose current rate collapsed to zero (no metric).
-	cur = art(map[string]float64{"a": 1.0, "b": 0})
-	if f := Compare("t", base, cur, 0.30, nil); f != 1 {
+	// So does a point whose current median collapsed to zero.
+	cur = art(map[string]float64{"lci SimExpanse thread-shared pairs=8": 0, "b": 3.0})
+	if f := compare(t, base, cur, nil); f != 1 {
 		t.Fatalf("zero current rate produced %d failures, want 1", f)
 	}
 }
 
 func TestKeyIgnoresMeasurements(t *testing.T) {
-	a := map[string]any{"Library": "lci", "Pairs": float64(8), "RateMps": 1.0, "Msgs": float64(100), "Seconds": 0.5}
-	b := map[string]any{"Library": "lci", "Pairs": float64(8), "RateMps": 9.9, "Msgs": float64(7), "Seconds": 9.0}
-	if Key(a) != Key(b) {
-		t.Fatalf("keys differ on measurement-only changes: %q vs %q", Key(a), Key(b))
-	}
-	c := map[string]any{"Library": "lci", "Pairs": float64(4), "RateMps": 1.0}
-	if Key(a) == Key(c) {
-		t.Fatal("keys must differ on configuration fields")
+	// Rows match on their declared key alone: a current row whose spread
+	// and round count differ is still the same point.
+	base := art(map[string]float64{"a": 1.0})
+	cur := art(map[string]float64{"a": 1.0})
+	cur.Results[0].Min, cur.Results[0].Max, cur.Results[0].Rounds = 0.1, 7.0, 5
+	if f := compare(t, base, cur, nil); f != 0 {
+		t.Fatalf("a measurement-only change produced %d failures", f)
 	}
 }
 
 func TestMetricPreference(t *testing.T) {
-	if f, v, ok := Metric(map[string]any{"GBps": 2.5}); !ok || f != "GBps" || v != 2.5 {
-		t.Fatalf("Metric(GBps) = %q %v %v", f, v, ok)
+	// The median is compared, not the min or the max: a 40% drop in the
+	// median fails even when the best round held up...
+	base := art(map[string]float64{"a": 1.0})
+	cur := art(map[string]float64{"a": 0.6})
+	cur.Results[0].Max = 2.0
+	if f := compare(t, base, cur, nil); f != 1 {
+		t.Fatalf("median drop hidden by a high max produced %d failures, want 1", f)
 	}
-	if _, _, ok := Metric(map[string]any{"Seconds": 1.0}); ok {
-		t.Fatal("Seconds must not be a rate metric")
+	// ...and a held median passes even when the worst round collapsed.
+	cur = art(map[string]float64{"a": 1.0})
+	cur.Results[0].Min = 0.1
+	if f := compare(t, base, cur, nil); f != 0 {
+		t.Fatalf("held median with a low min produced %d failures, want 0", f)
 	}
-	if f, _, ok := Metric(map[string]any{"RateMps": 1.0, "Mops": 2.0}); !ok || f != "RateMps" {
-		t.Fatalf("preference order violated: got %q", f)
+}
+
+func TestCompareRefusesGoMaxProcsMismatch(t *testing.T) {
+	base := art(map[string]float64{"a": 1.0})
+	cur := art(map[string]float64{"a": 1.0})
+	cur.Meta.GoMaxProcs = 1
+	if _, err := Compare("t", base, cur, 0.30, nil); err == nil || !strings.Contains(err.Error(), "gomaxprocs=1") {
+		t.Fatalf("gomaxprocs 1 against a baseline at 2: err = %v, want a refusal", err)
+	}
+}
+
+func TestCompareRefusesGOARCHMismatch(t *testing.T) {
+	base := art(map[string]float64{"a": 1.0})
+	cur := art(map[string]float64{"a": 1.0})
+	cur.Meta.GOARCH = "arm64"
+	if _, err := Compare("t", base, cur, 0.30, nil); err == nil || !strings.Contains(err.Error(), "arm64") {
+		t.Fatalf("arm64 against an amd64 baseline: err = %v, want a refusal", err)
 	}
 }
 
@@ -121,10 +152,11 @@ func TestLoadAndCompareFiles(t *testing.T) {
 		}
 		return p
 	}
+	const meta = `"meta":{"gomaxprocs":2,"goarch":"amd64"}`
 	basePath := write("BENCH_x_base.json",
-		`{"bench":"x","results":[{"Library":"lci","Mode":"m","RateMps":1.0}]}`)
+		`{"bench":"x",`+meta+`,"results":[{"key":"lci m","unit":"Mmsg/s","median":1.0,"min":0.9,"max":1.1,"rounds":3}]}`)
 	curPath := write("BENCH_x_cur.json",
-		`{"bench":"x","results":[{"Library":"lci","Mode":"m","RateMps":0.5}]}`)
+		`{"bench":"x",`+meta+`,"results":[{"key":"lci m","unit":"Mmsg/s","median":0.5,"min":0.4,"max":1.2,"rounds":3}]}`)
 
 	f, err := CompareFiles("x", basePath, curPath, 0.30, nil)
 	if err != nil {

@@ -7,23 +7,26 @@ import (
 	"lci/internal/base"
 	"lci/internal/netsim/fabric"
 	"lci/internal/netsim/nic"
+	"lci/internal/packet"
 )
 
 // newTinyPoolRuntimes builds a 2-rank world where rank 0's packet pool
 // is exactly as large as its pre-posted receive window, so the window
 // absorbs the whole pool and every send-side w.Get() finds it empty.
-// The eager path recycles its packet synchronously (the fabric copies),
-// which means pool exhaustion is never caused by sends themselves: the
-// only way a packet comes back is an inbound message completing, and
-// the only way it leaves again is replenish re-arming the window. The
-// transmit queue is kept generous so errNoPacket — not
+// NewRuntime refuses such a quota, so rank 0 gets the smallest one it
+// accepts, PreRecvs+1, and starve takes the one spare packet for the
+// test's life. The eager path recycles its packet synchronously (the
+// fabric copies), which means pool exhaustion is never caused by sends
+// themselves: the only way a packet comes back is an inbound message
+// completing, and the only way it leaves again is replenish re-arming
+// the window. The transmit queue is kept generous so errNoPacket — not
 // network.ErrTxFull — is the resource that runs out.
 func newTinyPoolRuntimes(t *testing.T) []*Runtime {
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: 2})
 	be := nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1, TxDepth: 256}
 	cfgs := []Config{
-		{PacketsPerWorker: 4, PreRecvs: 4}, // rank 0: window == pool, sends starve
+		{PacketsPerWorker: 5, PreRecvs: 4}, // rank 0: starved below, sends starve
 		{PacketsPerWorker: 64, PreRecvs: 8},
 	}
 	rts := make([]*Runtime, 2)
@@ -34,7 +37,25 @@ func newTinyPoolRuntimes(t *testing.T) []*Runtime {
 		}
 		rts[r] = rt
 	}
+	starve(t, rts[0])
 	return rts
+}
+
+// starve takes the one packet a single-device runtime built with
+// PacketsPerWorker = PreRecvs+1 has beyond its receive window, leaving
+// the window holding the whole rest of the pool, and returns it; Put it
+// back on the default device's worker to restore the pool.
+func starve(t *testing.T, rt *Runtime) *packet.Packet {
+	t.Helper()
+	w := rt.DefaultDevice().worker
+	spare := w.Get()
+	if spare == nil {
+		t.Fatal("no spare packet beyond the receive window")
+	}
+	if extra := w.Get(); extra != nil {
+		t.Fatal("more than one spare packet beyond the receive window")
+	}
+	return spare
 }
 
 // TestPostAMPacketPoolRetryRecovers pins the errNoPacket leg of the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"lci/internal/base"
@@ -47,7 +48,8 @@ type Config struct {
 	// (default 128).
 	PreRecvs int
 	// PacketsPerWorker is each registered worker's packet quota
-	// (default 1024).
+	// (default 1024). It must exceed PreRecvs: NewRuntime rejects a quota
+	// that the pre-posted receive window would use up.
 	PacketsPerWorker int
 	// MatchBuckets is the default matching engine's bucket count. The
 	// paper's C++ implementation defaults to 65536; the simulation
@@ -182,6 +184,15 @@ type Runtime struct {
 // configured by provider.
 func NewRuntime(provider nic.Config, fab *fabric.Fabric, rank int, cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
+	// Every device pre-posts PreRecvs packets from its own worker's quota
+	// (NewDevice's replenish), and an unpinned post draws from that same
+	// worker or steals from the others, which are drained the same way. A
+	// quota that does not exceed the window leaves no packet to send with,
+	// so every post would return Retry forever.
+	if cfg.PacketsPerWorker <= cfg.PreRecvs {
+		return nil, fmt.Errorf("%w: PacketsPerWorker (%d) must exceed PreRecvs (%d)",
+			ErrInvalidArgument, cfg.PacketsPerWorker, cfg.PreRecvs)
+	}
 	netdom := nic.NewDomain(fab, rank, provider)
 	rt := &Runtime{
 		cfg:      cfg,

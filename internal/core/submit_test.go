@@ -262,8 +262,9 @@ func TestPostAllocs(t *testing.T) {
 // TestParkedOpsFailOnPeerDeath: a post parked on the backlog (DisallowRetry)
 // whose peer dies while it waits must error-complete its completion object
 // with ErrPeerDead exactly once when the drain meets the fatal error, and
-// every packet must come back to the pool. Rank 0's packet pool is exactly
-// its receive window, so packet-carrying posts park on an empty pool; a
+// every packet must come back to the pool. Rank 0's packet pool is starved
+// to exactly its receive window (starve holds the one spare packet until
+// the balance check), so packet-carrying posts park on an empty pool; a
 // one-deep transmit queue held by a filler put parks the RMA posts.
 func TestParkedOpsFailOnPeerDeath(t *testing.T) {
 	type world struct {
@@ -299,7 +300,7 @@ func TestParkedOpsFailOnPeerDeath(t *testing.T) {
 			fab.SetInjector(inj)
 			be := nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1, TxDepth: 1}
 			cfgs := []Config{
-				{PacketsPerWorker: preRecvs, PreRecvs: preRecvs},
+				{PacketsPerWorker: preRecvs + 1, PreRecvs: preRecvs}, // starved below
 				{PacketsPerWorker: 64, PreRecvs: 8},
 			}
 			var w world
@@ -311,6 +312,7 @@ func TestParkedOpsFailOnPeerDeath(t *testing.T) {
 				defer rt.Close()
 				w.rts = append(w.rts, rt)
 			}
+			spare := starve(t, w.rts[0])
 			rkey, _ := w.rts[1].RegisterMemory(nil, make([]byte, 64))
 			w.rkey = rkey
 			w.rc = w.rts[1].RegisterHandler(func(base.Status) {})
@@ -340,6 +342,7 @@ func TestParkedOpsFailOnPeerDeath(t *testing.T) {
 			if n := d.BacklogLen(); n != 0 {
 				t.Fatalf("backlog still holds %d entries", n)
 			}
+			d.worker.Put(spare)
 			if got, want := pool.Available(), int(pool.Allocated())-preRecvs; got != want {
 				t.Fatalf("packet pool: %d available, want %d (allocated less the receive window)", got, want)
 			}
