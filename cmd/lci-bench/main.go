@@ -1,17 +1,20 @@
-// lci-bench regenerates the microbenchmark figures of the paper's
-// evaluation (§6.2): Figure 3 (process-based message rate), Figure 4
-// (thread-based message rate, dedicated/shared resources), Figure 5
-// (thread-based bandwidth) and Figure 6 (individual resource
-// throughput), printing one row per series point: its median, min and
-// max rate over three timed rounds. It also prints the
-// Table 1 paradigm matrix and the simulated Table 2 platform
-// configuration.
+// lci-bench regenerates the figures of the paper's evaluation (§6):
+// Figure 3 (process-based message rate), Figure 4 (thread-based message
+// rate, dedicated/shared resources, plus the device-pool and NUMA
+// placement sweeps), Figure 5 (thread-based bandwidth), Figure 6
+// (individual resource throughput), Figure 7 (k-mer counting strong
+// scaling) and Figure 8 (AMT mini-app strong scaling), printing one row
+// per series point: its median, min and max rate over three timed
+// rounds. It also prints the Table 1 paradigm matrix and the simulated
+// Table 2 platform configuration.
 //
 // Usage:
 //
 //	lci-bench -fig 4                # one figure
 //	lci-bench -fig 6 -iters 50000 -maxpairs 8   # resource throughput, 1..8 threads
-//	lci-bench -fig all -iters 5000  # everything, slower
+//	lci-bench -fig 7 -maxpairs 4    # k-mer counting, 1..4 nodes
+//	lci-bench -fig 8 -maxpairs 8    # AMT mini-app, 1..8 nodes
+//	lci-bench -fig all -iters 5000  # Figures 3-8, slower
 //	lci-bench -mode coll            # graph-driven collective latency + placement
 //	lci-bench -mode am              # handler vs cq-shim AM throughput
 //	lci-bench -mode agg             # coalesced vs naive record throughput + homing
@@ -30,17 +33,20 @@ import (
 	"slices"
 
 	"lci"
+	"lci/internal/amt"
 	"lci/internal/bench"
+	"lci/internal/core"
+	"lci/internal/kmer"
 	"lci/internal/lcw"
 	"lci/internal/topo"
 )
 
 var (
-	figFlag   = flag.String("fig", "", "figure to regenerate: 3, 4, 5, 6, or all")
+	figFlag   = flag.String("fig", "", "figure to regenerate: 3, 4, 5, 6, 7, 8, or all")
 	modeFlag  = flag.String("mode", "", "extra suite to run: coll (graph-driven collective latency + placement), am (handler vs cq-shim AM throughput), agg (coalesced vs naive record throughput + NUMA homing), rankscale (p2p/collective latency at 8..256 ranks + sparse-connectivity stats), or chaos (seeded fault-injection soak, peer-death scenario, fault-free-path cost)")
 	seedFlag  = flag.Uint64("seed", 42, "with -mode chaos: the fault injector seed (a chaos run is reproducible from it)")
 	itersFlag = flag.Int("iters", 2000, "ping-pong iterations per pair (-fig 6: operation pairs per thread)")
-	maxPairs  = flag.Int("maxpairs", 16, "largest pair/thread count in sweeps")
+	maxPairs  = flag.Int("maxpairs", 16, "largest pair/thread/node count in sweeps")
 	table1    = flag.Bool("table1", false, "print the Table 1 post_comm paradigm matrix")
 	platforms = flag.Bool("platforms", false, "print the simulated platform configuration (Table 2)")
 	statsFlag = flag.Bool("stats", false, "run a short mixed workload and print the per-layer telemetry snapshot")
@@ -106,6 +112,21 @@ func fig4() {
 			}
 		}
 	}
+	fmt.Println("== Figure 4 (LCI, 8 threads): device-pool size and NUMA placement ==")
+	const threads = 8
+	for _, plat := range lci.Platforms() {
+		for _, devices := range []int{1, 2, 4, 8} {
+			cfg := lcw.Config{Kind: lcw.LCI, Ranks: 2, ThreadsPerRank: threads, Devices: devices}
+			show(bench.MessageRate(cfg, plat, *itersFlag, "multi-device"))
+		}
+		for _, domains := range []int{2, 4} {
+			local := lcw.Config{Kind: lcw.LCI, Ranks: 2, ThreadsPerRank: threads, Devices: 4,
+				Topology: topo.Uniform(domains, threads/domains), Placement: core.LocalPlacement{}}
+			worst := local
+			worst.Placement = core.WorstPlacement{}
+			show(bench.MessageRate(local, plat, *itersFlag, "numa-local"), bench.MessageRate(worst, plat, *itersFlag, "numa-worst"))
+		}
+	}
 }
 
 func fig5() {
@@ -128,6 +149,40 @@ func fig6() {
 	for _, res := range []string{"packet", "matching", "cq", "cq-fixed"} {
 		for _, threads := range pairSweep() {
 			show(bench.ResourceThroughput(res, threads, *itersFlag))
+		}
+	}
+}
+
+// kmerConfig is Figure 7's dataset and rank shape: 20 000 reads of
+// 100 bp from a 100 kbp synthetic genome, k = 31, 8 KB aggregation
+// buffers, 4 worker threads per rank.
+var kmerConfig = kmer.Config{K: 31, Threads: 4, AggBytes: 8192, BloomBitsPerKmer: 12,
+	Reads: kmer.ReadsConfig{GenomeLen: 100_000, ReadLen: 100, NumReads: 20_000, ErrorRate: 0.01, Seed: 7}}
+
+// amtConfig is Figure 8's problem: a depth-3 octree (512 leaves) of 8³
+// subgrids over 10 steps, 8 worker threads per rank.
+var amtConfig = amt.Config{Depth: 3, GridSize: 8, Steps: 10, Threads: 8}
+
+func fig7() {
+	fmt.Println("== Figure 7: k-mer counting strong scaling (2 ranks/node; threads=1: one rank per core) ==")
+	ref := kmerConfig // the HipMer/UPC++ layout: one single-threaded rank per core
+	ref.Threads = 1
+	for _, plat := range lci.Platforms() {
+		for _, nodes := range pairSweep() {
+			show(bench.KmerRate(lcw.LCI, plat, nodes, 2, kmerConfig),
+				bench.KmerRate(lcw.GASNET, plat, nodes, 2, kmerConfig),
+				bench.KmerRate(lcw.GASNET, plat, nodes, 2*kmerConfig.Threads, ref))
+		}
+	}
+}
+
+func fig8() {
+	fmt.Println("== Figure 8: Octo-Tiger-like AMT strong scaling (1 rank/node; mpi: one VCI, mpix: VCI per thread) ==")
+	for _, plat := range lci.Platforms() {
+		for _, nodes := range pairSweep() {
+			show(bench.AMTRate(lcw.LCI, plat, nodes, amtConfig),
+				bench.AMTRate(lcw.MPI, plat, nodes, amtConfig),
+				bench.AMTRate(lcw.MPIX, plat, nodes, amtConfig))
 		}
 	}
 }
@@ -298,11 +353,17 @@ func main() {
 		fig5()
 	case "6":
 		fig6()
+	case "7":
+		fig7()
+	case "8":
+		fig8()
 	case "all":
 		fig3()
 		fig4()
 		fig5()
 		fig6()
+		fig7()
+		fig8()
 	case "":
 		if !*table1 && !*platforms && !*statsFlag && *modeFlag == "" {
 			flag.Usage()

@@ -1,12 +1,13 @@
 // Package bench implements the paper's evaluation harness (§6): the
 // message-rate and bandwidth microbenchmarks over LCW (Figures 3–5), the
-// individual-resource throughput microbenchmark (Figure 6), and the
-// collective, active-message, aggregation and rank-scaling series.
+// individual-resource throughput microbenchmark (Figure 6), the k-mer
+// counting and AMT mini-app runs (Figures 7 and 8), and the collective,
+// active-message, aggregation and rank-scaling series.
 // Every series point is a Workload whose body times one round; Run
 // measures Rounds rounds of each and returns one Row per point (declared
 // identity, unit, median/min/max rate), the shape BENCH_*.json artifacts
-// hold. The testing.B benches at the repository root and the
-// cmd/lci-bench executable are thin wrappers around this package.
+// hold. cmd/lci-bench, the one figure driver, and the shape tests in this
+// package are thin wrappers around it.
 package bench
 
 import (

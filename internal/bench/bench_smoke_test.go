@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"lci"
+	"lci/internal/amt"
 	"lci/internal/bench"
 	"lci/internal/core"
+	"lci/internal/kmer"
 	"lci/internal/lcw"
 	"lci/internal/topo"
 )
@@ -200,5 +202,23 @@ func TestFig6Shape(t *testing.T) {
 	if pool, match, cq := res[0], res[1], res[2]; !(pool.Median > match.Median && match.Median > cq.Median) {
 		t.Errorf("expected pool > matching > cq, got %.1f / %.1f / %.1f Mops",
 			pool.Median, match.Median, cq.Median)
+	}
+}
+
+// TestAppWorkloads runs the Figure 7 and Figure 8 workloads at a tiny
+// configuration over LCI and one baseline each: every row must carry all
+// its rounds and a positive rate in each.
+func TestAppWorkloads(t *testing.T) {
+	kcfg := kmer.Config{K: 31, Threads: 2,
+		Reads: kmer.ReadsConfig{GenomeLen: 2_000, ReadLen: 100, NumReads: 200, ErrorRate: 0.01, Seed: 7}}
+	acfg := amt.Config{Depth: 1, GridSize: 4, Steps: 2, Threads: 2}
+	plat := lci.SimExpanse()
+	rows := run(t, 0,
+		bench.KmerRate(lcw.LCI, plat, 1, 2, kcfg), bench.KmerRate(lcw.GASNET, plat, 1, 2, kcfg),
+		bench.AMTRate(lcw.LCI, plat, 2, acfg), bench.AMTRate(lcw.MPI, plat, 2, acfg))
+	for _, r := range rows {
+		if r.Rounds != bench.Rounds || !(r.Min > 0) {
+			t.Errorf("%v: want %d rounds, each with a positive rate", r, bench.Rounds)
+		}
 	}
 }

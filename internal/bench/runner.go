@@ -36,7 +36,7 @@ func (r Row) String() string {
 // operations it counted and the wall time they took.
 type Workload struct {
 	key, unit string
-	perUnit   float64 // operations per unit of rate: 1e6 for M…/s, 1e9 for GB/s
+	perUnit   float64 // operations per unit of rate: 1e6 for M…/s, 1e9 for GB/s, 1 for steps/s
 	round     func() (n int64, elapsed time.Duration, err error)
 }
 

@@ -37,7 +37,7 @@ type Device struct {
 	// bqNonEmpty lets the empty progress round skip it without the lock.
 	bqNonEmpty atomic.Bool
 	bqMu       spin.Mutex
-	bq         mpmc.Deque[deferrable]
+	bq         mpmc.Deque[parked]
 
 	// pollMu admits one poller at a time to the completion-handling slow
 	// path (the paper's try-lock rule: one poller proceeds, the rest return

@@ -22,7 +22,8 @@ import (
 // A deferrable is one network submission with every argument resolved
 // when it is built. Submissions are small values: the backlog parks a
 // copy, so a submission that goes out at once allocates nothing for the
-// chance that it might have parked.
+// chance that it might have parked, and one that parks allocates nothing
+// either (see parked).
 type deferrable interface {
 	// try makes one attempt; parked is set on backlog retries.
 	try(d *Device, parked bool) error
@@ -69,8 +70,9 @@ func submit[S deferrable](d *Device, s S, park bool) (base.Status, error) {
 	if d.tel.Counting() {
 		d.tc.BacklogParks.Add(1)
 	}
+	p := parkedOf(s)
 	d.bqMu.Lock()
-	d.bq.PushBack(s)
+	d.bq.PushBack(p)
 	d.bqMu.Unlock()
 	d.bqNonEmpty.Store(true)
 	return base.Status{State: base.Posted, Reason: base.RetryBacklog}, nil
@@ -92,7 +94,7 @@ func (d *Device) drainBacklog() int {
 			return done
 		}
 		d.bqMu.Unlock()
-		if err := s.try(d, true); err != nil {
+		if err := s.try(d); err != nil {
 			if retryable(err) {
 				d.bqMu.Lock()
 				d.bq.PushFront(s)
@@ -103,6 +105,69 @@ func (d *Device) drainBacklog() int {
 			s.fail(d, err)
 		}
 		done++
+	}
+}
+
+// parked is one backlog entry: a copy of the submission, held by value in
+// the backlog's slots so that parking allocates nothing once the deque has
+// grown to the backlog's high-water mark, where boxing the submission as a
+// deferrable would allocate on every park. kind says which field is set;
+// any other deferrable (the backlog tests' stand-ins) stays boxed in other.
+type parked struct {
+	kind  parkKind
+	eager eagerSend
+	ctl   control
+	rma   rma
+	other deferrable
+}
+
+type parkKind uint8
+
+const (
+	parkOther parkKind = iota
+	parkEager
+	parkControl
+	parkRMA
+)
+
+func parkedOf[S deferrable](s S) (p parked) {
+	switch v := any(s).(type) {
+	case eagerSend:
+		p.kind, p.eager = parkEager, v
+	case control:
+		p.kind, p.ctl = parkControl, v
+	case rma:
+		p.kind, p.rma = parkRMA, v
+	default:
+		p.other = s
+	}
+	return p
+}
+
+// try makes one backlog retry of the parked submission.
+func (p *parked) try(d *Device) error {
+	switch p.kind {
+	case parkEager:
+		return p.eager.try(d, true)
+	case parkControl:
+		return p.ctl.try(d, true)
+	case parkRMA:
+		return p.rma.try(d, true)
+	}
+	return p.other.try(d, true)
+}
+
+// fail reports a fatal error through the parked submission's owner.
+func (p *parked) fail(d *Device, err error) {
+	switch p.kind {
+	case parkEager:
+		p.eager.fail(d, err)
+	case parkControl:
+		p.ctl.fail(d, err)
+	case parkRMA:
+		p.rma.fail(d, err)
+	default:
+		p.other.fail(d, err)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"lci/internal/netsim/fabric"
 	"lci/internal/netsim/nic"
 	"lci/internal/network"
+	"lci/internal/packet"
 )
 
 // fnOp is a backlog entry for the queue tests: try runs f, fail counts
@@ -349,4 +350,84 @@ func TestParkedOpsFailOnPeerDeath(t *testing.T) {
 			checkRecordsBalanced(t, w.rts...)
 		})
 	}
+}
+
+// TestParkAndDrainAllocatesNothing: parking a submission and draining it
+// allocates nothing once the backlog has grown, for each of the three
+// kinds — an eager AM (eagerSend), a rendezvous RTS (control) and a put
+// (rma). Before each DisallowRetry post, block takes away what the post
+// needs, so it parks: a filler put holds the one transmit credit, or the
+// packet pool is emptied for the header-only RTS, which rides the inject
+// path. Progress then drains the backlog and completes the operation.
+func TestParkAndDrainAllocatesNothing(t *testing.T) {
+	rts := newTxDepthRuntimes(t, 1)
+	defer rts[0].Close()
+	defer rts[1].Close()
+	rkey, _ := rts[1].RegisterMemory(nil, make([]byte, 64))
+	fill := Options{Remote: RemoteBuffer{RKey: rkey}, RemoteSet: true}
+	put := fill
+	put.DisallowRetry = true
+	fired, sent, recvd := &atomicCounter{}, &atomicCounter{}, &atomicCounter{}
+	am := Options{RComp: rts[1].RegisterHandler(func(base.Status) { fired.n.Add(1) }), DisallowRetry: true}
+	small, medium := make([]byte, 8), make([]byte, 1024)
+	large, into := make([]byte, rts[0].MaxEager()+1), make([]byte, rts[0].MaxEager()+1)
+	w := rts[0].DefaultDevice().worker
+	held := make([]*packet.Packet, 0, 128)
+	holdCredit := func() {
+		if st, err := rts[0].PostPut(1, small, 0, nil, fill); err != nil || st.IsRetry() {
+			t.Fatalf("filler put = %+v, %v; want it sent", st, err)
+		}
+	}
+	holdPackets := func() {
+		for p := w.Get(); p != nil; p = w.Get() {
+			held = append(held, p)
+		}
+	}
+	parkThenDrain := func(block func(), post func() (base.Status, error), done func() bool) {
+		block()
+		if st, err := post(); err != nil || st.Reason != base.RetryBacklog {
+			t.Fatalf("post = %+v, %v; want it parked (RetryBacklog)", st, err)
+		}
+		for _, p := range held {
+			w.Put(p)
+		}
+		held = held[:0]
+		for i := 0; !done(); i++ {
+			if i == 10_000 {
+				t.Fatal("parked operation never completed")
+			}
+			rts[0].ProgressAll()
+			rts[1].ProgressAll()
+		}
+	}
+	rows := []struct {
+		kind  string
+		cycle func()
+	}{
+		{"eager AM", func() {
+			want := sent.n.Load() + 1
+			parkThenDrain(holdCredit, func() (base.Status, error) { return rts[0].PostAM(1, medium, 0, sent, am) },
+				func() bool { return sent.n.Load() == want && fired.n.Load() == want })
+		}},
+		{"rendezvous RTS", func() {
+			wantSent, wantRecvd := sent.n.Load()+1, recvd.n.Load()+1
+			if _, err := rts[1].PostRecv(0, into, 0, recvd, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			parkThenDrain(holdPackets, func() (base.Status, error) {
+				return rts[0].PostSend(1, large, 0, sent, Options{DisallowRetry: true})
+			}, func() bool { return sent.n.Load() == wantSent && recvd.n.Load() == wantRecvd })
+		}},
+		{"put", func() {
+			want := sent.n.Load() + 1
+			parkThenDrain(holdCredit, func() (base.Status, error) { return rts[0].PostPut(1, small, 0, sent, put) },
+				func() bool { return sent.n.Load() == want })
+		}},
+	}
+	for _, row := range rows {
+		if n := testing.AllocsPerRun(100, row.cycle); n != 0 {
+			t.Errorf("parked %s: %.1f allocations per park and drain, want 0", row.kind, n)
+		}
+	}
+	checkRecordsBalanced(t, rts...)
 }

@@ -37,11 +37,10 @@ func newMPIJob(cfg Config, prov nic.Config) (*Job, error) {
 	j := &Job{cfg: cfg}
 	for r := 0; r < cfg.Ranks; r++ {
 		m := mpibase.New(nic.NewDomain(fab, r, prov), mpibase.Config{
-			NumVCIs:               numVCIs,
-			AssertNoAnyTag:        true,
-			AssertAllowOvertaking: true,
-			PacketSize:            packetSize,
-			PreRecvs:              preRecvs,
+			NumVCIs:        numVCIs,
+			AssertNoAnyTag: true,
+			PacketSize:     packetSize,
+			PreRecvs:       preRecvs,
 		})
 		c := &Comm{rank: r, nranks: cfg.Ranks, maxAM: maxAM}
 		for t := 0; t < cfg.ThreadsPerRank; t++ {

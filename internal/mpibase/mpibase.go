@@ -38,16 +38,9 @@ type Config struct {
 	// NumVCIs is the number of virtual communication interfaces
 	// (default 1 = standard MPI). The paper's mpix runs use up to 64.
 	NumVCIs int
-	// GlobalProgress mirrors MPIR_CVAR_CH4_GLOBAL_PROGRESS: when true,
-	// any progress poll progresses every VCI (heavy contention); the
-	// paper sets it to 0/false for the benchmarks.
-	GlobalProgress bool
 	// AssertNoAnyTag mirrors mpi_assert_no_any_tag: promises no AnyTag
 	// receives, enabling per-VCI tag hashing.
 	AssertNoAnyTag bool
-	// AssertAllowOvertaking mirrors mpi_assert_allow_overtaking: relaxes
-	// the in-order matching requirement.
-	AssertAllowOvertaking bool
 	// EagerLimit is the largest eager payload (default: packet size - 24).
 	EagerLimit int
 	// ProgressOverheadNs models the CH4 progress-engine round: the work a
@@ -107,7 +100,7 @@ type wireHdr struct {
 	kind  uint8
 	comm  uint16
 	tag   int32
-	seq   uint32
+	seq   uint32 // RTR only: the receiver's token, echoed as the write immediate
 	size  uint32
 	token uint64
 }
@@ -140,7 +133,6 @@ type postedRecv struct {
 	src  int // AnySource allowed
 	tag  int // AnyTag allowed
 	comm uint16
-	seq  uint32 // next expected seq for (src,comm) at post time; 0 if wildcard
 }
 
 // unexpMsg is an arrived-but-unmatched message (its payload has been
@@ -149,7 +141,6 @@ type unexpMsg struct {
 	src  int
 	tag  int
 	comm uint16
-	seq  uint32
 	data []byte // eager payload, owned
 	rts  bool
 	tok  uint64 // rendezvous sender token
@@ -182,8 +173,6 @@ type vci struct {
 	dev        *nic.Device
 	posted     []*postedRecv
 	unexpected []*unexpMsg
-	sendSeq    []uint32 // per destination rank
-	recvSeq    []uint32 // per source rank (next seq to admit to matching)
 	tokens     map[uint64]any
 	nextTok    uint64
 	recvBufs   [][]byte // recycled packet buffers
@@ -209,8 +198,6 @@ func New(dom *nic.Domain, cfg Config) *MPI {
 	for i := range m.vcis {
 		v := &vci{
 			dev:     dom.NewDevice(),
-			sendSeq: make([]uint32, n),
-			recvSeq: make([]uint32, n),
 			tokens:  make(map[uint64]any),
 			deficit: cfg.PreRecvs,
 		}
@@ -267,12 +254,10 @@ func (m *MPI) Isend(buf []byte, dst, tag, comm int) *Request {
 	req := &Request{Source: m.rank, Tag: tag, Len: len(buf)}
 	v := m.vciOf(comm, tag)
 	v.mu.Lock()
-	seq := v.sendSeq[dst]
-	v.sendSeq[dst]++
 	if len(buf) <= m.cfg.EagerLimit {
-		m.eagerSendLocked(v, req, buf, dst, tag, comm, seq)
+		m.eagerSendLocked(v, req, buf, dst, tag, comm)
 	} else {
-		m.rtsSendLocked(v, req, buf, dst, tag, comm, seq)
+		m.rtsSendLocked(v, req, buf, dst, tag, comm)
 	}
 	v.mu.Unlock()
 	return req
@@ -287,9 +272,9 @@ const inlineEager = 128
 // eagerSendLocked transmits an eager message, spinning on provider
 // backpressure inside the critical section — the blocking retry loop the
 // paper contrasts with LCI's in-band retry (§4.2.5).
-func (m *MPI) eagerSendLocked(v *vci, req *Request, buf []byte, dst, tag, comm int, seq uint32) {
+func (m *MPI) eagerSendLocked(v *vci, req *Request, buf []byte, dst, tag, comm int) {
 	pkt := make([]byte, wireHdrSize+len(buf))
-	wireHdr{kind: kEager, comm: uint16(comm), tag: int32(tag), seq: seq, size: uint32(len(buf))}.encode(pkt)
+	wireHdr{kind: kEager, comm: uint16(comm), tag: int32(tag), size: uint32(len(buf))}.encode(pkt)
 	copy(pkt[wireHdrSize:], buf)
 	var ctx any
 	if len(pkt) > inlineEager {
@@ -313,12 +298,12 @@ func (m *MPI) eagerSendLocked(v *vci, req *Request, buf []byte, dst, tag, comm i
 	}
 }
 
-func (m *MPI) rtsSendLocked(v *vci, req *Request, buf []byte, dst, tag, comm int, seq uint32) {
+func (m *MPI) rtsSendLocked(v *vci, req *Request, buf []byte, dst, tag, comm int) {
 	tok := v.nextTok
 	v.nextTok++
 	v.tokens[tok] = &rdvSend{req: req, buf: buf}
 	pkt := make([]byte, wireHdrSize)
-	wireHdr{kind: kRTS, comm: uint16(comm), tag: int32(tag), seq: seq, size: uint32(len(buf)), token: tok}.encode(pkt)
+	wireHdr{kind: kRTS, comm: uint16(comm), tag: int32(tag), size: uint32(len(buf)), token: tok}.encode(pkt)
 	for {
 		err := v.dev.PostSend(dst, v.dev.Index(), uint32(kRTS), pkt, nil)
 		if err == nil {
@@ -395,12 +380,7 @@ func (m *MPI) sendRTRLocked(v *vci, pr *postedRecv, u *unexpMsg) {
 	v.nextTok++
 	v.tokens[tok] = &rdvRecv{req: pr.req, rkey: rkey, src: u.src, tag: u.tag}
 	pkt := make([]byte, wireHdrSize)
-	// token field carries the sender's token; seq carries our token (the
-	// write immediate echoes it); size carries rkey's low half? No — rkey
-	// goes in a second 8-byte slot: reuse size(4)+seq(4) is too small, so
-	// send rkey in the token field and the sender token in seq... rkey and
-	// both tokens all fit: kind|comm|tag=unused|seq=ourTok|size=len|token=senderTok,
-	// with rkey appended after the fixed header.
+	// RTR layout: seq = our token, size = granted length, token = the sender's token, then the rkey.
 	wireHdr{kind: kRTR, comm: u.comm, seq: uint32(tok), size: uint32(size), token: u.tok}.encode(pkt)
 	pkt = append(pkt, make([]byte, 8)...)
 	binary.LittleEndian.PutUint64(pkt[wireHdrSize:], rkey)
@@ -432,20 +412,13 @@ func (m *MPI) Wait(r *Request) {
 	}
 }
 
-// Progress polls the library: all VCIs under GlobalProgress, otherwise
-// each VCI in turn (callers in the benchmarks progress their own VCI via
-// TestVCI-style usage; plain Progress is what MPI_Test does).
+// Progress polls each VCI in turn, one lock acquisition each — what
+// MPI_Test does (the benchmarks progress their own VCI with ProgressVCI).
 func (m *MPI) Progress() {
 	for _, v := range m.vcis {
 		v.mu.Lock()
 		m.progressLocked(v)
 		v.mu.Unlock()
-		if !m.cfg.GlobalProgress && len(m.vcis) > 1 {
-			// Without global progress, polling any VCI still requires
-			// visiting each once to mimic MPICH's per-VCI progress sets;
-			// the lock acquisitions above are the cost being modeled.
-			continue
-		}
 	}
 }
 
@@ -503,7 +476,7 @@ func (m *MPI) handleArrivalLocked(v *vci, src int, pkt []byte) {
 	switch h.kind {
 	case kEager, kRTS:
 		u := &unexpMsg{
-			src: src, tag: int(h.tag), comm: h.comm, seq: h.seq,
+			src: src, tag: int(h.tag), comm: h.comm,
 			rts: h.kind == kRTS, tok: h.token, size: int(h.size),
 		}
 		if h.kind == kEager {

@@ -13,7 +13,7 @@ import (
 func newPair(t *testing.T, vcis int) (*mpibase.MPI, *mpibase.MPI) {
 	t.Helper()
 	fab := fabric.New(fabric.Config{NumRanks: 2})
-	cfg := mpibase.Config{NumVCIs: vcis, AssertNoAnyTag: vcis > 1, AssertAllowOvertaking: true}
+	cfg := mpibase.Config{NumVCIs: vcis, AssertNoAnyTag: vcis > 1}
 	ms := make([]*mpibase.MPI, 2)
 	for r := 0; r < 2; r++ {
 		ms[r] = mpibase.New(nic.NewDomain(fab, r, nic.Config{SendOverheadNs: 1, RecvOverheadNs: 1}), cfg)

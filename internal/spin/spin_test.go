@@ -1,7 +1,9 @@
 package spin
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -78,7 +80,11 @@ func TestMutexContendedDiagnostic(t *testing.T) {
 		m.Unlock()
 		close(done)
 	}()
-	time.Sleep(2 * time.Millisecond)
+	// Hold the lock until the contender has registered its wait, however
+	// late the scheduler runs it.
+	for deadline := time.Now().Add(10 * time.Second); atomic.LoadInt32(&m.hold) == 0 && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
 	m.Unlock()
 	<-done
 	if !m.Contended() {
